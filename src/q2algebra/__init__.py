@@ -59,7 +59,6 @@ from .morphisms import (
     NotUnitaryFunction,
     RelationViolated,
     ad_unitary,
-    apply,
     beta_monomial,
     bogoljubov_classify,
     builtin,
@@ -72,7 +71,6 @@ from .morphisms import (
     flipflop,
     gauge,
     is_beta,
-    make_endo,
     shift,
     u_of,
     W_of,

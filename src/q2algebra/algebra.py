@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
-from .scalars import DyadicCyclotomic, Fraction, ONE as SC_ONE, ZERO as SC_ZERO
+from .scalars import DyadicCyclotomic, Fraction, ONE as SC_ONE, ZERO as SC_ZERO, _sum_terms
 
 __all__ = [
     "Monomial",
@@ -111,21 +111,8 @@ class Element:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Iterable[tuple[Monomial, DyadicCyclotomic]] | dict = ()):
-        data: dict[Monomial, DyadicCyclotomic] = {}
         items = terms.items() if isinstance(terms, dict) else terms
-        for mono, coef in items:
-            if not isinstance(mono, Monomial):
-                mono = Monomial(*mono)
-            mono.validate()
-            if not isinstance(coef, DyadicCyclotomic):
-                coef = DyadicCyclotomic.from_rational(coef)
-            if mono in data:
-                coef = data[mono] + coef
-            if coef.is_zero():
-                data.pop(mono, None)
-            else:
-                data[mono] = coef
-        object.__setattr__(self, "_terms", data)
+        object.__setattr__(self, "_terms", _sum_terms(_checked_term(m, c) for m, c in items))
 
     def __setattr__(self, name, value):
         raise AttributeError("Element is immutable")
@@ -152,30 +139,23 @@ class Element:
         return self._terms.get(mono, SC_ZERO)
 
     def scalar_part(self) -> DyadicCyclotomic | None:
-        """The constant c with self == c*1, or None if self is not scalar."""
-        cand = self._terms.get(Monomial(0, 0, 0, 0), SC_ZERO)
-        return cand if equals(self, scalar(cand)) else None
+        """The constant c with self == c*1, or None if self is not scalar.
+
+        Read off the canonical form, where c*1 is the single root term c U^0.
+        """
+        form = _canonical(self._terms)
+        value = form.pop(Monomial(0, 0, 0, 0), SC_ZERO)
+        return None if form else value
 
     # -- linear structure ------------------------------------------------------
 
     def __add__(self, other):
         if not isinstance(other, Element):
             return NotImplemented
-        data = dict(self._terms)
-        for mono, coef in other._terms.items():
-            acc = data.get(mono, SC_ZERO) + coef
-            if acc.is_zero():
-                data.pop(mono, None)
-            else:
-                data[mono] = acc
-        out = Element.__new__(Element)
-        object.__setattr__(out, "_terms", data)
-        return out
+        return _element(_sum_terms(other._terms.items(), dict(self._terms)))
 
     def __neg__(self):
-        out = Element.__new__(Element)
-        object.__setattr__(out, "_terms", {m: -c for m, c in self._terms.items()})
-        return out
+        return _element({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, Element):
@@ -187,10 +167,7 @@ class Element:
             s = DyadicCyclotomic.from_rational(s)
         if s.is_zero():
             return ZERO
-        data = {m: s * c for m, c in self._terms.items()}
-        out = Element.__new__(Element)
-        object.__setattr__(out, "_terms", data)
-        return out
+        return _element({m: s * c for m, c in self._terms.items()})
 
     def __rmul__(self, s):
         if isinstance(s, (int, Fraction, DyadicCyclotomic)):
@@ -204,20 +181,12 @@ class Element:
             return self.scale(other)
         if not isinstance(other, Element):
             return NotImplemented
-        data: dict[Monomial, DyadicCyclotomic] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                prod = mono_mul(m1, m2)
-                if prod is None:
-                    continue
-                acc = data.get(prod, SC_ZERO) + c1 * c2
-                if acc.is_zero():
-                    data.pop(prod, None)
-                else:
-                    data[prod] = acc
-        out = Element.__new__(Element)
-        object.__setattr__(out, "_terms", data)
-        return out
+        return _element(_sum_terms(
+            (prod, c1 * c2)
+            for m1, c1 in self._terms.items()
+            for m2, c2 in other._terms.items()
+            if (prod := mono_mul(m1, m2)) is not None
+        ))
 
     def __pow__(self, n: int):
         if n < 0:
@@ -228,17 +197,8 @@ class Element:
         return out
 
     def adjoint(self) -> "Element":
-        data: dict[Monomial, DyadicCyclotomic] = {}
-        for mono, coef in self._terms.items():
-            adj = mono.adjoint()
-            acc = data.get(adj, SC_ZERO) + coef.conj()
-            if acc.is_zero():
-                data.pop(adj, None)
-            else:
-                data[adj] = acc
-        out = Element.__new__(Element)
-        object.__setattr__(out, "_terms", data)
-        return out
+        # the monomial adjoint is an involution, so no two terms collide
+        return _element({m.adjoint(): c.conj() for m, c in self._terms.items()})
 
     # -- equality ----------------------------------------------------------------
 
@@ -271,6 +231,21 @@ class Element:
             (Monomial(t["l"], t["a"], t["b"], t["c"]), DyadicCyclotomic.from_json(t["coef"]))
             for t in data["terms"]
         )
+
+
+def _checked_term(mono, coef) -> tuple[Monomial, DyadicCyclotomic]:
+    if not isinstance(mono, Monomial):
+        mono = Monomial(*mono)
+    if not isinstance(coef, DyadicCyclotomic):
+        coef = DyadicCyclotomic.from_rational(coef)
+    return mono.validate(), coef
+
+
+def _element(terms: dict) -> Element:
+    """An Element owning a term map that is already valid and zero-free."""
+    out = Element.__new__(Element)
+    object.__setattr__(out, "_terms", terms)
+    return out
 
 
 def monomial(l: int, a: int, b: int, c: int, coef=1) -> Element:
@@ -319,84 +294,88 @@ def _refined(mono: Monomial, coef: DyadicCyclotomic, B: int):
         yield Monomial(mono.l + (t << mono.a), mono.a + d, B, mono.c - (t << mono.b)), coef
 
 
+def _parent(m: Monomial) -> Monomial:
+    """The node that refines into m in one step (needs a, b >= 1)."""
+    a, b = m.a - 1, m.b - 1
+    return Monomial(m.l & ((1 << a) - 1), a, b, m.c + ((m.l >> a) << b))
+
+
+def _canonical(terms: dict) -> dict:
+    """The unique form of a term map: disjoint leaves, no equal sibling pair.
+
+    One refinement step splits (l, a, b, c) into two children, so the
+    monomials form a binary trie over residue classes whose roots have a = 0
+    or b = 0; the parent of (l, a, b, c) is
+    (l mod 2^(a-1), a-1, b-1, c + 2^(b-1) (l >> (a-1))).  Pushing each
+    coefficient that has a deeper term below it onto the node's children
+    leaves disjoint leaves, and merging every pair of sibling leaves with one
+    coefficient, deepest level first, makes each leaf a largest subtree on
+    which the operator is constant.  Distinct leaves are linearly independent,
+    so two term maps are the same operator iff their forms are equal, and the
+    zero operator has the empty form.  Cost O(terms * depth).
+    """
+    inner = set()  # proper ancestors of some term, closed upwards
+    for m in terms:
+        while m.a and m.b:
+            m = _parent(m)
+            if m in inner:
+                break
+            inner.add(m)
+    form = dict(terms)
+    for node in sorted(inner, key=lambda m: m.b):  # shallow first
+        coef = form.pop(node, None)
+        if coef is not None:
+            _sum_terms(_refined(node, coef, node.b + 1), form)
+    levels: dict[int, list[Monomial]] = {}
+    for m in form:
+        levels.setdefault(m.b, []).append(m)
+    while levels:
+        b = max(levels)
+        for m in levels.pop(b):
+            coef = form.get(m)
+            if coef is None or not (m.a and m.b):
+                continue
+            parent = _parent(m)
+            pair = [child for child, _ in _refined(parent, coef, b)]
+            if all(form.get(child) == coef for child in pair):
+                for child in pair:
+                    del form[child]
+                form[parent] = coef
+                levels.setdefault(b - 1, []).append(parent)
+    return form
+
+
 def normalize_depth(x: Element, B: int) -> Element:
-    """The unique representation of x with every term at depth b = B."""
+    """The unique representation of x with every term at depth b = B.
+
+    It refines the canonical leaves to depth B; they are disjoint, so their
+    refinements never share a tuple.
+    """
     if B < x.depth:
         raise DepthTooSmall(f"depth {B} < element depth {x.depth}")
-    acc: dict[Monomial, DyadicCyclotomic] = {}
-    for mono, coef in x._terms.items():
-        for ref, c in _refined(mono, coef, B):
-            tot = acc.get(ref, SC_ZERO) + c
-            if tot.is_zero():
-                acc.pop(ref, None)
-            else:
-                acc[ref] = tot
-    out = Element.__new__(Element)
-    object.__setattr__(out, "_terms", acc)
-    return out
+    return _element(dict(
+        ref for mono, coef in _canonical(x._terms).items() for ref in _refined(mono, coef, B)
+    ))
 
 
 def coarsen(x: Element) -> Element:
-    """Greedy inverse of refinement: merge complete sibling pairs.
+    """The canonical form of x: refinement undone as far as the operator allows.
 
-    The two children (l, a, b, c) and (l + 2^(a-1), a, b, c - 2^(b-1)) of one
-    refinement step carry equal coefficients exactly when they came from the
-    parent (l, a-1, b-1, c); merging repeatedly shrinks the term map without
-    changing the operator.  A size optimization only, never needed for
-    equality.
+    No term lies below another and no two sibling terms share a coefficient,
+    which makes the term map unique: equal operators give equal term maps.
     """
-    terms = dict(x._terms)
-    changed = True
-    while changed:
-        changed = False
-        for mono in list(terms):
-            coef = terms.get(mono)
-            if coef is None or mono.a < 1 or mono.b < 1:
-                continue
-            half_l = 1 << (mono.a - 1)
-            if mono.l >= half_l:
-                continue
-            sibling = Monomial(mono.l + half_l, mono.a, mono.b, mono.c - (1 << (mono.b - 1)))
-            if terms.get(sibling) != coef:
-                continue
-            del terms[mono]
-            del terms[sibling]
-            parent = Monomial(mono.l, mono.a - 1, mono.b - 1, mono.c)
-            acc = terms.get(parent, SC_ZERO) + coef
-            if acc.is_zero():
-                terms.pop(parent, None)
-            else:
-                terms[parent] = acc
-            changed = True
-    out = Element.__new__(Element)
-    object.__setattr__(out, "_terms", terms)
-    return out
+    return _element(_canonical(x._terms))
 
 
 def equals(x: Element, y: Element) -> bool:
     """Decide whether x and y act as the same operator on l2(Z).
 
-    The difference is refined to the common depth B = max b, where distinct
-    tuples induce distinct partial affine maps (residue class, slope,
-    intercept) and are therefore linearly independent; the difference is zero
-    iff every refined coefficient group cancels.
+    The difference is the zero operator iff its canonical form is empty.
     """
-    diff = x - y
-    if diff.is_zero():
-        return True
-    B = diff.depth
-    acc: dict[Monomial, DyadicCyclotomic] = {}
-    for mono, coef in diff._terms.items():
-        for ref, c in _refined(mono, coef, B):
-            tot = acc.get(ref, SC_ZERO) + c
-            if tot.is_zero():
-                acc.pop(ref, None)
-            else:
-                acc[ref] = tot
-    return not acc
+    return not _canonical((x - y)._terms)
 
 
-# -- gauge grading and expectations (tuple rules) -------------------------------
+# -- gauge grading and membership ----------------------------------------------------
 
 
 def gauge_component(x: Element, d: int) -> Element:
@@ -404,60 +383,30 @@ def gauge_component(x: Element, d: int) -> Element:
     return Element((m, c) for m, c in x._terms.items() if m.degree() == d)
 
 
-def gauge_degrees(x: Element) -> set[int]:
-    return {m.degree() for m in x._terms}
-
-
-def _expect_gauge(x: Element) -> Element:
-    return Element((m, c) for m, c in x._terms.items() if m.a == m.b)
-
-
-def _expect_cu(x: Element) -> Element:
-    """Tuple rule (l,a,b,c) -> delta_{a,b} 2^-a U^(l+c) for the C*(U) expectation."""
-    acc: dict[Monomial, DyadicCyclotomic] = {}
-    for m, coef in x._terms.items():
-        if m.a != m.b:
-            continue
-        key = Monomial(0, 0, 0, m.l + m.c)
-        tot = acc.get(key, SC_ZERO) + coef * Fraction(1, 1 << m.a)
-        if tot.is_zero():
-            acc.pop(key, None)
-        else:
-            acc[key] = tot
-    out = Element.__new__(Element)
-    object.__setattr__(out, "_terms", acc)
-    return out
-
-
-def _expect_d2(x: Element) -> Element:
-    """Diagonal rule: keep (l,a,b,c) iff a = b and c = -l."""
-    return Element((m, c) for m, c in x._terms.items() if m.a == m.b and m.c == -m.l)
+_MEMBER_TESTS = {
+    "QT": lambda m: m.a == m.b,
+    "D2": lambda m: m.a == m.b and m.c == -m.l,
+    "CU": lambda m: m.a == m.b == 0,
+    "O2": lambda m: 0 <= -m.c < (1 << m.b),
+    "F2": lambda m: 0 <= -m.c < (1 << m.b) and m.a == m.b,
+}
 
 
 def membership(x: Element, sub: str) -> bool:
     """Exact membership of x in the algebraic span of a named subalgebra.
 
-    CU, D2 and QT are the ranges of the corresponding expectations; O2 and F2
-    are read off the unique depth-B form, where a tuple is S_alpha S_beta*
-    (no trailing U power) iff 0 <= -c < 2^B, with a = B additionally for F2.
+    Every canonical leaf of x must pass the subalgebra's test.  CU is spanned
+    by the roots U^n (a = b = 0), D2 by the trie below 1 (a = b, c = -l) and
+    QT by the tries below all U^n (a = b).  O2 and F2 ask that the depth-B
+    form be made of tuples S_alpha S_beta* with no trailing U power, with
+    |alpha| = B for F2; a leaf passes 0 <= -c < 2^b (and a = b for F2) iff
+    all its depth-B refinements do.
     """
-    if sub == "QT":
-        return equals(x, _expect_gauge(x))
-    if sub == "CU":
-        return equals(x, _expect_cu(x))
-    if sub == "D2":
-        return equals(x, _expect_d2(x))
-    if sub not in ("O2", "F2"):
-        raise ValueError(f"unknown subalgebra {sub!r}")
-    if x.is_zero():
-        return True
-    B = x.depth
-    for m in normalize_depth(x, B)._terms:
-        if not 0 <= -m.c < (1 << B):
-            return False
-        if sub == "F2" and m.a != B:
-            return False
-    return True
+    try:
+        inside = _MEMBER_TESTS[sub]
+    except KeyError:
+        raise ValueError(f"unknown subalgebra {sub!r}") from None
+    return all(inside(m) for m in _canonical(x._terms))
 
 
 # -- projection families ----------------------------------------------------------

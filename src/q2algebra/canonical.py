@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .algebra import Element, Monomial
-from .scalars import DyadicCyclotomic, ZERO as SC_ZERO
+from .scalars import DyadicCyclotomic, _sum_terms
 
 __all__ = [
     "AffineDyadicMap",
@@ -63,17 +63,9 @@ def map_of(m: Monomial) -> AffineDyadicMap:
 
 def apply_basis(x: Element, i: int) -> dict[int, DyadicCyclotomic]:
     """The vector x e_i as an exact index -> coefficient map."""
-    out: dict[int, DyadicCyclotomic] = {}
-    for mono, coef in x.terms.items():
-        j = map_of(mono)(i)
-        if j is None:
-            continue
-        acc = out.get(j, SC_ZERO) + coef
-        if acc.is_zero():
-            out.pop(j, None)
-        else:
-            out[j] = acc
-    return out
+    return _sum_terms(
+        (j, coef) for mono, coef in x.terms.items() if (j := map_of(mono)(i)) is not None
+    )
 
 
 def fixed_points(m: Monomial, lo: int, hi: int) -> list[int]:

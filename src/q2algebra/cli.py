@@ -24,7 +24,7 @@ import argparse
 import json
 import sys
 
-from .algebra import Element, equals, membership, normalize_depth
+from .algebra import Element, Monomial, equals, membership, normalize_depth
 from .canonical import apply_basis, window_matrix
 from .expectations import E_CU, E_D2, E_diag_window, E_gauge
 from .morphisms import (
@@ -33,16 +33,11 @@ from .morphisms import (
     FlipFlopGauge,
     Gauge,
     NotExtensible,
-    ad_unitary,
-    beta_monomial,
     bogoljubov_classify,
-    chi,
-    flipflop,
-    gauge,
-    shift,
+    builtin,
 )
 from .dyadic import build_Uz, check_Uz_relations
-from .parser import ParseError, parse_element, print_element, print_scalar
+from .parser import ParseError, parse_element, print_element
 from .scalars import DyadicCyclotomic
 from .torusfunc import (
     DyadicGridFunction,
@@ -65,10 +60,6 @@ class _CliError(Exception):
         self.code = code
 
 
-def _parse(text: str) -> Element:
-    return parse_element(text)
-
-
 def _parse_window(spec: str) -> tuple[int, int]:
     try:
         lo_text, hi_text = spec.split(":")
@@ -83,20 +74,18 @@ def _parse_window(spec: str) -> tuple[int, int]:
 def _parse_morphism(label: str) -> Endomorphism:
     """Labels: gauge:SCALAR, flipflop, shift, chi:ODD, beta:SCALAR,N, adU."""
     name, _, arg = label.partition(":")
-    if name == "flipflop":
-        return flipflop()
-    if name == "shift":
-        return shift()
-    if name == "adU":
-        return ad_unitary(parse_element("U"))
     if name == "gauge":
-        return gauge(_parse_scalar(arg or "1"))
-    if name == "chi":
-        return chi(int(arg))
-    if name == "beta":
+        params = (_parse_scalar(arg or "1"),)
+    elif name == "chi":
+        params = (int(arg),)
+    elif name == "beta":
         w_text, _, n_text = arg.rpartition(",")
-        return beta_monomial(_parse_scalar(w_text or "1"), int(n_text))
-    raise _CliError(f"unknown morphism {label!r}", 2)
+        params = (_parse_scalar(w_text or "1"), int(n_text))
+    elif name in ("flipflop", "shift", "adU"):
+        params = ()
+    else:
+        raise _CliError(f"unknown morphism {label!r}", 2)
+    return builtin(name, *params)
 
 
 def _parse_scalar(text: str) -> DyadicCyclotomic:
@@ -119,22 +108,24 @@ def _parse_bogoljubov_entry(text: str):
             raise _CliError(f"bad matrix entry {text!r}", 2) from None
 
 
-def _element_output(x: Element, fmt: str) -> str:
+def _element_output(x: Element, fmt: str, as_stored: bool = False) -> str:
+    """Text or JSON form; a scalar prints as a scalar, except that with
+    as_stored only a term map holding nothing but the constant term does."""
     if fmt == "json":
         return json.dumps(x.to_json())
-    value = x.scalar_part()
-    return print_scalar(value) if value is not None else print_element(x)
+    value = None if as_stored and x.terms.keys() - {Monomial(0, 0, 0, 0)} else x.scalar_part()
+    return print_element(x) if value is None else str(value)
 
 
 def _cmd_normalize(args) -> int:
-    x = _parse(args.expr)
+    x = parse_element(args.expr)
     depth = args.depth if args.depth is not None else x.depth
-    print(_element_output(normalize_depth(x, depth), args.format))
+    print(_element_output(normalize_depth(x, depth), args.format, as_stored=True))
     return 0
 
 
 def _cmd_eq(args) -> int:
-    same = equals(_parse(args.lhs), _parse(args.rhs))
+    same = equals(parse_element(args.lhs), parse_element(args.rhs))
     if args.format == "json":
         print(json.dumps({"equal": same}))
     else:
@@ -144,12 +135,12 @@ def _cmd_eq(args) -> int:
 
 def _cmd_apply(args) -> int:
     endo = _parse_morphism(args.morphism)
-    print(_element_output(endo(_parse(args.expr)), args.format))
+    print(_element_output(endo(parse_element(args.expr)), args.format))
     return 0
 
 
 def _cmd_expect(args) -> int:
-    x = _parse(args.expr)
+    x = parse_element(args.expr)
     if args.which == "diag":
         if not args.window:
             raise _CliError("expect diag needs --window LO:HI", 2)
@@ -158,7 +149,7 @@ def _cmd_expect(args) -> int:
         if args.format == "json":
             print(json.dumps({str(i): diag[i].to_json() for i in sorted(diag)}))
         else:
-            print(", ".join(f"{i}: {print_scalar(diag[i])}" for i in sorted(diag)) or "0")
+            print(", ".join(f"{i}: {diag[i]}" for i in sorted(diag)) or "0")
         return 0
     emap = {"gauge": E_gauge, "CU": E_CU, "D2": E_D2}[args.which]
     print(_element_output(emap(x), args.format))
@@ -166,11 +157,11 @@ def _cmd_expect(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    vec = apply_basis(_parse(args.expr), args.basis)
+    vec = apply_basis(parse_element(args.expr), args.basis)
     if args.format == "json":
         print(json.dumps({str(i): vec[i].to_json() for i in sorted(vec)}))
     else:
-        print(", ".join(f"e_{i}: {print_scalar(vec[i])}" for i in sorted(vec)) or "0")
+        print(", ".join(f"e_{i}: {vec[i]}" for i in sorted(vec)) or "0")
     return 0
 
 
@@ -182,7 +173,7 @@ def _cmd_window(args) -> int:
     elif op.startswith("Uz:"):
         win = window_matrix("Uz", lo, hi, phi=float(parse_angle(op[3:])))
     else:
-        win = window_matrix(_parse(op), lo, hi)
+        win = window_matrix(parse_element(op), lo, hi)
     print(win.to_json() if args.format == "json" else win.to_csv(), end="")
     if args.format != "json":
         print()
@@ -252,14 +243,14 @@ def _laurent_of(x: Element) -> LaurentCircleFunction:
 
 
 def _cmd_solve_feq(args) -> int:
-    f = _laurent_of(_parse(args.expr))
+    f = _laurent_of(parse_element(args.expr))
     n = check_power_equation(f, args.power) if args.power else solve_square_equation(f)
     print(json.dumps({"exponent": n}) if args.format == "json" else str(n))
     return 0
 
 
 def _cmd_member(args) -> int:
-    inside = membership(_parse(args.expr), args.sub)
+    inside = membership(parse_element(args.expr), args.sub)
     if args.format == "json":
         print(json.dumps({"member": inside}))
     else:

@@ -4,18 +4,11 @@ maps, and the stabilizing S1-compression limit."""
 
 from __future__ import annotations
 
-from .algebra import (
-    Element,
-    GEN_S1,
-    GEN_S1_STAR,
-    _expect_cu,
-    _expect_d2,
-    _expect_gauge,
-    equals,
-    scalar,
-)
-from .canonical import apply_basis, fixed_points
-from .scalars import DyadicCyclotomic, ZERO as SC_ZERO
+from fractions import Fraction
+
+from .algebra import Element, GEN_S1, GEN_S1_STAR, Monomial, equals
+from .canonical import fixed_points
+from .scalars import DyadicCyclotomic, _sum_terms
 
 __all__ = [
     "E_gauge",
@@ -42,17 +35,21 @@ class NotStabilized(RuntimeError):
 
 def E_gauge(x: Element) -> Element:
     """Gauge averaging: keeps exactly the terms with a = b."""
-    return _expect_gauge(x)
+    return Element((m, c) for m, c in x.terms.items() if m.a == m.b)
 
 
 def E_CU(x: Element) -> Element:
     """The unique expectation onto C*(U): (l,a,b,c) -> delta_{a,b} 2^-a U^(l+c)."""
-    return _expect_cu(x)
+    return Element(
+        (Monomial(0, 0, 0, m.l + m.c), coef * Fraction(1, 1 << m.a))
+        for m, coef in x.terms.items()
+        if m.a == m.b
+    )
 
 
 def E_D2(x: Element) -> Element:
     """The diagonal expectation: keeps (l,a,b,c) iff a = b and c = -l."""
-    return _expect_d2(x)
+    return Element((m, c) for m, c in x.terms.items() if m.a == m.b and m.c == -m.l)
 
 
 def E_diag_window(x: Element, lo: int, hi: int) -> dict[int, DyadicCyclotomic]:
@@ -64,15 +61,9 @@ def E_diag_window(x: Element, lo: int, hi: int) -> dict[int, DyadicCyclotomic]:
     """
     if lo > hi:
         raise ValueError("window requires lo <= hi")
-    out: dict[int, DyadicCyclotomic] = {}
-    for mono, coef in x.terms.items():
-        for i in fixed_points(mono, lo, hi):
-            acc = out.get(i, SC_ZERO) + coef
-            if acc.is_zero():
-                out.pop(i, None)
-            else:
-                out[i] = acc
-    return out
+    return _sum_terms(
+        (i, coef) for mono, coef in x.terms.items() for i in fixed_points(mono, lo, hi)
+    )
 
 
 def F_map(x: Element, i: int) -> Element:
@@ -100,14 +91,9 @@ def s1_limit(x: Element) -> DyadicCyclotomic:
     for _ in range(bound + 1):
         y_next = GEN_S1_STAR * y * GEN_S1
         if equals(y_next, y):
-            value = _scalar_value(y)
+            value = y.scalar_part()
             if value is None:
                 raise NotStabilized("iteration reached a non-scalar fixed point")
             return value
         y = y_next
     raise NotStabilized(f"no scalar fixed point within {bound + 1} compressions")
-
-
-def _scalar_value(y: Element) -> DyadicCyclotomic | None:
-    cand = apply_basis(y, 0).get(0, SC_ZERO)
-    return cand if equals(y, scalar(cand)) else None

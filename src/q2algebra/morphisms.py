@@ -22,10 +22,12 @@ from .algebra import (
     GEN_U,
     GEN_U_STAR,
     ONE,
+    ZERO,
+    coarsen,
     equals,
     membership,
-    scalar,
 )
+from .expectations import E_CU
 from .scalars import DyadicCyclotomic
 from .torusfunc import LaurentCircleFunction
 
@@ -37,8 +39,6 @@ __all__ = [
     "ExtensionConditionFailed",
     "NotInS2",
     "NotUnitaryFunction",
-    "make_endo",
-    "apply",
     "compose",
     "gauge",
     "flipflop",
@@ -98,8 +98,6 @@ class Endomorphism:
     __slots__ = ("img_U", "img_S2", "label", "_pow_u", "_pow_s2", "_pow_s2_star")
 
     def __init__(self, img_U: Element, img_S2: Element, label: str | None = None):
-        from .algebra import coarsen
-
         # keep images in merged form so that iterated composition stays small
         img_U = coarsen(img_U)
         img_S2 = coarsen(img_S2)
@@ -151,8 +149,6 @@ class Endomorphism:
                 word = word * self._power(self._pow_u, mono.c)
             word = word.scale(coef)
             total = word if total is None else total + word
-        from .algebra import ZERO
-
         return ZERO if total is None else total
 
     def fixes_generators(self) -> bool:
@@ -160,14 +156,6 @@ class Endomorphism:
 
     def __repr__(self):
         return f"Endomorphism({self.label or 'anonymous'})"
-
-
-def make_endo(img_U: Element, img_S2: Element, label: str | None = None) -> Endomorphism:
-    return Endomorphism(img_U, img_S2, label)
-
-
-def apply(e: Endomorphism, x: Element) -> Element:
-    return e(x)
 
 
 def compose(e1: Endomorphism, e2: Endomorphism, label: str | None = None) -> Endomorphism:
@@ -416,8 +404,6 @@ def decompose_S2_image(s: Element) -> LaurentCircleFunction:
     f(U) is reconstructed as s S2* + U s S2* U* and returned as an exact
     T-valued Laurent polynomial.
     """
-    from .algebra import _expect_cu
-
     if not equals(s.adjoint() * s, ONE):
         raise NotInS2("s* s = 1 fails")
     if not equals(s * GEN_U, GEN_U * GEN_U * s):
@@ -426,7 +412,7 @@ def decompose_S2_image(s: Element) -> LaurentCircleFunction:
     if not equals(range_proj + GEN_U * range_proj * GEN_U_STAR, ONE):
         raise NotInS2("s s* + U s s* U* = 1 fails")
     g = s * GEN_S2_STAR + GEN_U * s * GEN_S2_STAR * GEN_U_STAR
-    f_elem = _expect_cu(g)
+    f_elem = E_CU(g)
     if not equals(f_elem, g):
         raise NotInS2("reconstruction is not a function of U")
     coeffs = {m.c: coef for m, coef in f_elem.terms.items()}

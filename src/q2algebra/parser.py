@@ -19,7 +19,7 @@ from fractions import Fraction
 from .algebra import Element, Monomial, from_generator, scalar as scalar_element
 from .scalars import DyadicCyclotomic, cyclo
 
-__all__ = ["ParseError", "parse_element", "print_element", "print_scalar"]
+__all__ = ["ParseError", "parse_element", "print_element"]
 
 
 class ParseError(ValueError):
@@ -200,10 +200,6 @@ def parse_element(text: str) -> Element:
 
 
 # -- canonical printing -------------------------------------------------------------
-
-
-def print_scalar(c: DyadicCyclotomic) -> str:
-    return str(c)
 
 
 def _upower(exp: int) -> str:

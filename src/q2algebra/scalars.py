@@ -309,6 +309,19 @@ def rational(p, q=1) -> DyadicCyclotomic:
     return DyadicCyclotomic.from_rational(Fraction(p, q))
 
 
+def _sum_terms(pairs, into: dict | None = None) -> dict:
+    """Add (key, scalar) pairs into a dict by key; keys summing to zero are dropped."""
+    data = {} if into is None else into
+    for key, value in pairs:
+        if key in data:
+            value = data[key] + value
+        if value.is_zero():
+            data.pop(key, None)
+        else:
+            data[key] = value
+    return data
+
+
 ZERO = DyadicCyclotomic(0, (_ZERO_FRAC,))
 ONE = DyadicCyclotomic(0, (_ONE_FRAC,))
 MINUS_ONE = DyadicCyclotomic(0, (-_ONE_FRAC,))

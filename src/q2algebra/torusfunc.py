@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .scalars import DyadicCyclotomic, ONE as SC_ONE, ZERO as SC_ZERO, cyclo
+from .scalars import DyadicCyclotomic, ONE as SC_ONE, ZERO as SC_ZERO, _sum_terms, cyclo
 
 __all__ = [
     "LaurentCircleFunction",
@@ -93,16 +93,11 @@ class LaurentCircleFunction:
     def __mul__(self, other):
         if not isinstance(other, LaurentCircleFunction):
             return NotImplemented
-        out: dict[int, DyadicCyclotomic] = {}
-        for k1, c1 in self.coeffs.items():
-            for k2, c2 in other.coeffs.items():
-                k = k1 + k2
-                acc = out.get(k, SC_ZERO) + c1 * c2
-                if acc.is_zero():
-                    out.pop(k, None)
-                else:
-                    out[k] = acc
-        return LaurentCircleFunction(out)
+        return LaurentCircleFunction(_sum_terms(
+            (k1 + k2, c1 * c2)
+            for k1, c1 in self.coeffs.items()
+            for k2, c2 in other.coeffs.items()
+        ))
 
     def __pow__(self, n: int):
         out = LaurentCircleFunction({0: SC_ONE})

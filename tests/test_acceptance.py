@@ -31,6 +31,7 @@ from q2algebra.cli import main
 from q2algebra.expectations import E_CU, E_D2, E_gauge
 from q2algebra.morphisms import (
     BogoljubovMatrix,
+    Endomorphism,
     ExtensionData,
     FlipFlopGauge,
     Gauge,
@@ -44,7 +45,6 @@ from q2algebra.morphisms import (
     flip_theta,
     flipflop,
     gauge,
-    make_endo,
     shift,
 )
 from q2algebra.dyadic import RootOfUnity, build_Uz, check_Uz_relations, membership_Uz
@@ -193,7 +193,7 @@ def test_criterion_06_rigidity_echo():
     t0 = time.perf_counter()
     theta = flip_theta()
     matrix = [
-        make_endo(U, S2),
+        Endomorphism(U, S2),
         gauge(cyclo(0, 0)),
         chi(1),
         chi(-1),

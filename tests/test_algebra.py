@@ -13,6 +13,7 @@ from q2algebra.algebra import (
     Monomial,
     ONE,
     ZERO,
+    coarsen,
     equals,
     from_generator,
     gauge_component,
@@ -28,6 +29,8 @@ from q2algebra.algebra import (
     s_mu,
 )
 from q2algebra.canonical import apply_basis, map_of
+from q2algebra.cli import main
+from q2algebra.expectations import E_CU, E_D2, E_gauge
 from q2algebra.scalars import rational
 
 from conftest import basis_action_agrees, make_rng, rand_element
@@ -130,6 +133,123 @@ def test_fixed_depth_form_is_unique():
         y = x + (U * S1 - S2 * U) * rand_element(rng, nterms=1)  # plus zero
         assert equals(x, y)
         assert normalize_depth(x, B).terms == normalize_depth(y, B).terms
+
+
+def _zero_in_disguise(rng):
+    """A nonzero term map of the zero operator."""
+    return (S2 * S2s + S1 * S1s - ONE) * rand_element(rng, nterms=2)
+
+
+def test_canonical_form_is_unique():
+    rng = make_rng(18)
+    for _ in range(40):
+        x = rand_element(rng, nterms=5)
+        # a term below another one: the two overlap on the child's class
+        mono = rng.choice(list(x.terms))
+        child = rng.choice(list(normalize_depth(Element([(mono, 1)]), mono.b + 1).terms))
+        x = x + Element([(child, rng.choice([1, -1, rational(1, 2)]))])
+        form = coarsen(x).terms
+        for k in range(4):
+            assert coarsen(normalize_depth(x, x.depth + k)).terms == form
+        assert coarsen(x + _zero_in_disguise(rng)).terms == form
+        assert equals(coarsen(x), x)
+    assert coarsen(S2 * S2s + U * S2 * S2s * Us).terms == ONE.terms
+    assert coarsen(_zero_in_disguise(rng)).is_zero()
+
+
+def _refinement_chain(mono, coef, B, rng):
+    """Terms summing to coef * mono: one child split further at every level."""
+    terms = []
+    while mono.b < B:
+        kids = list(normalize_depth(Element([(mono, coef)]), mono.b + 1).terms)
+        rng.shuffle(kids)
+        terms.append((kids[0], coef))
+        mono = kids[1]
+    return terms + [(mono, coef)]
+
+
+def test_deep_equality_against_basis_action():
+    rng = make_rng(19)
+    for B in (20, 21, 22, 23, 24):
+        a = rng.randint(0, 3)
+        deep = Monomial(rng.randrange(1 << a), a, 2, rng.randint(-4, 4))
+        x = rand_element(rng) + Element([(deep, rational(3, 2))])
+        chain = _refinement_chain(deep, x.coefficient(deep), B, rng)
+        y = x - Element([(deep, x.coefficient(deep))]) + Element(chain)
+        changed = dict(y.terms)
+        bottom = chain[-1][0]
+        assert bottom.b == B
+        changed[bottom] = changed[bottom] + rational(1, 4)
+        for other, same in ((y, True), (Element(changed), False)):
+            assert equals(x, other) is same
+            indices = {(-m.c) % (1 << m.b) for m in (*x.terms, *other.terms)}
+            agree = all(apply_basis(x, i) == apply_basis(other, i) for i in indices)
+            assert agree is same
+
+
+def _member_candidate(rng):
+    """A random element drawn from one subalgebra's spanning terms, written
+    at mixed depths, sometimes with one arbitrary term added."""
+    family = rng.choice(("CU", "D2", "QT", "O2", "F2"))
+    terms = []
+    for _ in range(rng.randint(1, 4)):
+        a, b = rng.randint(0, 3), rng.randint(0, 3)
+        if family == "CU":
+            mono = Monomial(0, 0, 0, rng.randint(-3, 3))
+        elif family == "D2":
+            l = rng.randrange(1 << a)
+            mono = Monomial(l, a, a, -l)
+        elif family == "QT":
+            mono = Monomial(rng.randrange(1 << a), a, a, rng.randint(-4, 4))
+        else:
+            a = b if family == "F2" else a
+            mono = Monomial(rng.randrange(1 << a), a, b, -rng.randrange(1 << b))
+        terms.append((mono, rng.choice([1, 2, -1, rational(1, 2)])))
+    x = Element(terms)
+    if rng.random() < 0.5:
+        x = normalize_depth(x, x.depth + rng.randint(0, 2))
+    if rng.random() < 0.5:
+        x = x + _zero_in_disguise(rng)
+    if rng.random() < 0.3:
+        x = x + rand_element(rng, nterms=1)
+    return x
+
+
+def _membership_by_definition(x, sub):
+    """Range of the expectation for QT/CU/D2; depth-B read-off for O2/F2."""
+    if sub in ("QT", "CU", "D2"):
+        expectation = {"QT": E_gauge, "CU": E_CU, "D2": E_D2}[sub]
+        return equals(x, expectation(x))
+    B = x.depth
+    return all(
+        0 <= -m.c < (1 << B) and (sub == "O2" or m.a == B)
+        for m in normalize_depth(x, B).terms
+    )
+
+
+def test_membership_matches_definition():
+    rng = make_rng(20)
+    seen = set()
+    for _ in range(300):
+        x = _member_candidate(rng)
+        for sub in ("QT", "CU", "D2", "O2", "F2"):
+            verdict = membership(x, sub)
+            assert verdict == _membership_by_definition(x, sub), (x, sub)
+            seen.add((sub, verdict))
+    assert len(seen) == 10  # every subalgebra saw members and non-members
+
+
+def test_scalar_part_without_constant_term():
+    assert (S2 * S2s + U * S2 * S2s * Us).scalar_part() == rational(1)
+    assert (ONE.scale(2) + S2 * S2s + U * S2 * S2s * Us).scalar_part() == rational(3)
+    assert normalize_depth(ONE.scale(rational(1, 3)), 3).scalar_part() == rational(1, 3)
+    assert ZERO.scalar_part() == rational(0)
+    assert (S2 * S2s).scalar_part() is None
+
+
+def test_cli_eq_at_depth_22(capsys):
+    assert main(["eq", "S2^22 S2*^22", "1"]) == 1
+    assert capsys.readouterr().out.strip() == "DIFFERENT"
 
 
 def test_membership_examples():

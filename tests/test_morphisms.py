@@ -16,6 +16,7 @@ from q2algebra.algebra import (
 )
 from q2algebra.morphisms import (
     BogoljubovMatrix,
+    Endomorphism,
     ExtensionConditionFailed,
     ExtensionData,
     FlipFlopGauge,
@@ -28,7 +29,6 @@ from q2algebra.morphisms import (
     W_of,
     ad_unitary,
     agree_on_generators,
-    apply,
     beta_monomial,
     bogoljubov_classify,
     builtin,
@@ -41,7 +41,6 @@ from q2algebra.morphisms import (
     flipflop,
     gauge,
     is_beta,
-    make_endo,
     shift,
     u_of,
 )
@@ -56,9 +55,9 @@ S1s, S2s = GEN_S1_STAR, GEN_S2_STAR
 
 
 def test_make_endo_identity_and_flipflop():
-    ident = make_endo(U, S2)
+    ident = Endomorphism(U, S2)
     assert ident.fixes_generators()
-    ff = make_endo(Us, U * S2)
+    ff = Endomorphism(Us, U * S2)
     assert equals(ff(S1), S2)
     assert equals(ff(S2), S1)
 
@@ -66,27 +65,27 @@ def test_make_endo_identity_and_flipflop():
 def test_make_endo_accepts_beta_with_f_z():
     # U -> U, S2 -> US2 = S1 satisfies all four relations: it is beta^f for
     # f(z) = z, one of the automorphisms fixing U
-    endo = make_endo(U, S1)
+    endo = Endomorphism(U, S1)
     assert is_beta(endo)
     assert agree_on_generators(endo, beta_monomial(1, 1))
 
 
 def test_make_endo_rejects_bad_images():
     with pytest.raises(RelationViolated):
-        make_endo(U * U, S2)  # range condition fails: only even residues covered
+        Endomorphism(U * U, S2)  # range condition fails: only even residues covered
     with pytest.raises(RelationViolated):
-        make_endo(S2, S2)  # image of U not unitary
+        Endomorphism(S2, S2)  # image of U not unitary
     with pytest.raises(RelationViolated):
-        make_endo(U, S2s)  # image of S2 not an isometry
+        Endomorphism(U, S2s)  # image of S2 not an isometry
     with pytest.raises(RelationViolated):
-        make_endo(U, S2 * S2)  # S2^2 U = U^4 S2^2 breaks the commutation rule
+        Endomorphism(U, S2 * S2)  # S2^2 U = U^4 S2^2 breaks the commutation rule
 
 
 def test_apply_examples():
-    assert equals(apply(flipflop(), S1), S2)
+    assert equals(flipflop()(S1), S2)
     z = cyclo(3, 1)
-    assert equals(apply(gauge(z), S1), S1.scale(z))
-    assert equals(apply(shift(), U), U * U)
+    assert equals(gauge(z)(S1), S1.scale(z))
+    assert equals(shift()(U), U * U)
 
 
 def test_apply_is_homomorphic(rng):
@@ -100,11 +99,11 @@ def test_apply_is_homomorphic(rng):
 
 
 def test_builtin_examples():
-    assert equals(apply(chi(3), S1), U**3 * S2)
+    assert equals(chi(3)(S1), U**3 * S2)
     adu = builtin("adU")
-    assert equals(apply(adu, S1), S2)
-    assert equals(apply(adu, S2), S1 * Us)
-    assert agree_on_generators(builtin("beta", 1, 0), make_endo(U, S2))
+    assert equals(adu(S1), S2)
+    assert equals(adu(S2), S1 * Us)
+    assert agree_on_generators(builtin("beta", 1, 0), Endomorphism(U, S2))
     with pytest.raises(NotOdd):
         chi(4)
     with pytest.raises(NotUnitary):
@@ -167,7 +166,7 @@ def test_u_fixing_builtins_commute(rng):
 
 def test_rigidity_echo_over_builtin_matrix():
     matrix = [
-        make_endo(U, S2),
+        Endomorphism(U, S2),
         gauge(cyclo(0, 0)),
         chi(1),
         beta_monomial(1, 0),

@@ -172,3 +172,15 @@ def test_cli_fuzz_never_crashes(capsys):
         code = main(["eq", "--", expr, "S2"])
         assert code in (0, 1, 2, 3)
         capsys.readouterr()
+
+
+def test_cli_scalar_output(capsys):
+    # a result equal to a scalar prints as one; normalize keeps its depth-B terms
+    assert main(["apply", "flipflop", "S2 S2* + U S2 S2* U*"]) == 0
+    assert capsys.readouterr().out.strip() == "1"
+    assert main(["expect", "gauge", "2 + S2 S2* + U S2 S2* U*"]) == 0
+    assert capsys.readouterr().out.strip() == "3"
+    assert main(["normalize", "1", "--depth", "1"]) == 0
+    assert capsys.readouterr().out.strip() == "S2 S2* + U S2 S2* U*"
+    assert main(["normalize", "1 + i", "--depth", "0"]) == 0
+    assert capsys.readouterr().out.strip() == "1 + i"
