@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
-from .scalars import DyadicCyclotomic, Fraction, ONE as SC_ONE, ZERO as SC_ZERO, _sum_terms
+from .scalars import DyadicCyclotomic, Fraction, ONE as SC_ONE, ZERO as SC_ZERO, _power, _sum_terms
 
 __all__ = [
     "Monomial",
@@ -191,10 +191,7 @@ class Element:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative powers are not defined on the span")
-        out = ONE
-        for _ in range(n):
-            out = out * self
-        return out
+        return _power(self, n, ONE)
 
     def adjoint(self) -> "Element":
         # the monomial adjoint is an involution, so no two terms collide

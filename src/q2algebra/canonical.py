@@ -95,10 +95,11 @@ def displacement_bound(x: Element, lo: int, hi: int) -> int:
     for mono in x.terms:
         fmap = map_of(mono)
         for i in (lo, hi):
-            # affine in i, so extremes occur at the window endpoints
-            j = (((i + fmap.shift_in) / (1 << fmap.modulus_exp)) * (1 << fmap.slope_num_exp)
-                 + fmap.shift_out)
-            bound = max(bound, int(abs(j - i)) + 1)
+            # affine in i, so extremes occur at the window endpoints; j - i is
+            # ((i + c) 2^a + (l - i) 2^b) / 2^b, floored exactly in integers
+            num = (((i + fmap.shift_in) << fmap.slope_num_exp)
+                   + ((fmap.shift_out - i) << fmap.modulus_exp))
+            bound = max(bound, (abs(num) >> fmap.modulus_exp) + 1)
     return bound
 
 

@@ -12,6 +12,7 @@ classifier, and the f(U) S2 structure decomposition.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .algebra import (
     Element,
@@ -22,13 +23,13 @@ from .algebra import (
     GEN_U,
     GEN_U_STAR,
     ONE,
-    ZERO,
+    _element,
     coarsen,
     equals,
     membership,
 )
 from .expectations import E_CU
-from .scalars import DyadicCyclotomic
+from .scalars import DyadicCyclotomic, _sum_terms
 from .torusfunc import LaurentCircleFunction
 
 __all__ = [
@@ -93,9 +94,15 @@ def _is_unitary(u: Element) -> bool:
 
 
 class Endomorphism:
-    """Unital *-endomorphism of Q2, stored by the images of U and S2."""
+    """Unital *-endomorphism of Q2, stored by the images of U and S2.
 
-    __slots__ = ("img_U", "img_S2", "label", "_pow_u", "_pow_s2", "_pow_s2_star")
+    Applying it substitutes image powers into U^l S2^a (S2*)^b U^c.  The terms
+    of one argument repeat these powers (all 2^m terms of a depth-m form need
+    img_S2*^m), so `_image_power` remembers each one instead of recomputing it
+    per term.
+    """
+
+    __slots__ = ("img_U", "img_S2", "label", "_image_power")
 
     def __init__(self, img_U: Element, img_S2: Element, label: str | None = None):
         # keep images in merged form so that iterated composition stays small
@@ -112,44 +119,31 @@ class Endomorphism:
         range_proj = img_S2 * img_S2_star
         if not equals(range_proj + img_U * range_proj * img_U_star, ONE):
             raise RelationViolated("images break S2 S2* + U S2 S2* U* = 1")
+        images = {"U": img_U, "S2": img_S2, "S2*": img_S2_star}
         object.__setattr__(self, "img_U", img_U)
         object.__setattr__(self, "img_S2", img_S2)
         object.__setattr__(self, "label", label)
-        object.__setattr__(self, "_pow_u", {0: ONE, 1: img_U, -1: img_U_star})
-        object.__setattr__(self, "_pow_s2", {0: ONE, 1: img_S2})
-        object.__setattr__(self, "_pow_s2_star", {0: ONE, 1: img_S2_star})
+        # (name, n) -> image of name^n; only U takes n < 0, through img_U*
+        object.__setattr__(self, "_image_power", cache(
+            lambda name, n: images[name] ** n if n >= 0 else img_U_star ** -n))
 
     def __setattr__(self, name, value):
         raise AttributeError("Endomorphism is immutable")
 
-    def _power(self, cache: dict, n: int) -> Element:
-        if n in cache:
-            return cache[n]
-        step = cache[1] if n > 0 else cache[-1]
-        start = n
-        while start not in cache:
-            start += -1 if n > 0 else 1
-        out = cache[start]
-        while start != n:
-            start += 1 if n > 0 else -1
-            out = out * step
-            cache[start] = out
-        return out
-
     def __call__(self, x: Element) -> Element:
         """Homomorphic extension: substitute images in U^l S2^a (S2*)^b U^c."""
-        total = None
-        for mono, coef in x.terms.items():
-            word = self._power(self._pow_u, mono.l) if mono.l else ONE
+        power = self._image_power
+        terms = {}
+        for mono, coef in x._terms.items():
+            word = power("U", mono.l)
             if mono.a:
-                word = word * self._power(self._pow_s2, mono.a)
+                word = word * power("S2", mono.a)
             if mono.b:
-                word = word * self._power(self._pow_s2_star, mono.b)
+                word = word * power("S2*", mono.b)
             if mono.c:
-                word = word * self._power(self._pow_u, mono.c)
-            word = word.scale(coef)
-            total = word if total is None else total + word
-        return ZERO if total is None else total
+                word = word * power("U", mono.c)
+            _sum_terms(((m, coef * c) for m, c in word._terms.items()), terms)
+        return _element(terms)
 
     def fixes_generators(self) -> bool:
         return equals(self.img_U, GEN_U) and equals(self.img_S2, GEN_S2)

@@ -204,16 +204,7 @@ class DyadicCyclotomic:
         return self * other.inv()
 
     def __pow__(self, n: int):
-        if n < 0:
-            return self.inv() ** (-n)
-        out = ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self.inv(), -n, ONE) if n < 0 else _power(self, n, ONE)
 
     # -- comparison --------------------------------------------------------
 
@@ -320,6 +311,22 @@ def _sum_terms(pairs, into: dict | None = None) -> dict:
         else:
             data[key] = value
     return data
+
+
+def _power(base, n: int, one):
+    """base^n for n >= 0 by square-and-multiply, `one` for n = 0.
+
+    The package's one powering loop (scalars, elements, circle functions,
+    endomorphism images); no squaring is done after the highest bit.
+    """
+    out = None
+    while n:
+        if n & 1:
+            out = base if out is None else out * base
+        n >>= 1
+        if n:
+            base = base * base
+    return one if out is None else out
 
 
 ZERO = DyadicCyclotomic(0, (_ZERO_FRAC,))

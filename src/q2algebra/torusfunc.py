@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .scalars import DyadicCyclotomic, ONE as SC_ONE, ZERO as SC_ZERO, _sum_terms, cyclo
+from .scalars import DyadicCyclotomic, ONE as SC_ONE, ZERO as SC_ZERO, _power, _sum_terms, cyclo
 
 __all__ = [
     "LaurentCircleFunction",
@@ -100,10 +100,9 @@ class LaurentCircleFunction:
         ))
 
     def __pow__(self, n: int):
-        out = LaurentCircleFunction({0: SC_ONE})
-        for _ in range(n):
-            out = out * self
-        return out
+        if n < 0:
+            raise ValueError("negative powers of a Laurent polynomial are not defined")
+        return _power(self, n, LaurentCircleFunction({0: SC_ONE}))
 
     def conj(self) -> "LaurentCircleFunction":
         return LaurentCircleFunction({-k: c.conj() for k, c in self.coeffs.items()})

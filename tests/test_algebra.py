@@ -368,3 +368,29 @@ def test_element_json_round_trip():
     for _ in range(15):
         x = rand_element(rng)
         assert Element.from_json(x.to_json()).terms == x.terms
+
+
+def test_power_matches_repeated_product(rng):
+    for _ in range(8):
+        x = rand_element(rng, nterms=3, max_depth=2, max_shift=3, max_level=2)
+        product = ONE
+        for n in range(7):
+            assert (x**n).terms == product.terms
+            product = product * x
+        with pytest.raises(ValueError):
+            x ** -1
+
+
+def test_power_takes_logarithmically_many_products(monkeypatch):
+    calls = 0
+    mul = Element.__mul__
+
+    def counting_mul(self, other):
+        nonlocal calls
+        calls += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(Element, "__mul__", counting_mul)
+    n = 2_000_000
+    assert (U**n).terms == {Monomial(0, 0, 0, n): 1}
+    assert calls <= 2 * n.bit_length()

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from q2algebra.algebra import (
+    Element,
     GEN_S1,
     GEN_S2,
     GEN_S2_STAR,
@@ -138,3 +139,10 @@ def test_window_serialization():
     data = json.loads(w.to_json())
     assert data["lo"] == -2 and data["hi"] == 2
     assert [0, 0, 1.0, 0.0] in data["entries"]
+
+
+def test_displacement_bound_is_exact_beyond_float_precision():
+    # U^-(2^55 + 3) moves e_0 to e_-(2^55 + 3); a float quotient loses the +3
+    n = (1 << 55) + 3
+    x = Element([(Monomial(0, 0, 0, -n), 1)])
+    assert displacement_bound(x, 0, 0) == n + 1

@@ -184,3 +184,11 @@ def test_cli_scalar_output(capsys):
     assert capsys.readouterr().out.strip() == "S2 S2* + U S2 S2* U*"
     assert main(["normalize", "1 + i", "--depth", "0"]) == 0
     assert capsys.readouterr().out.strip() == "1 + i"
+
+
+def test_cli_large_powers(capsys):
+    # ^n is computed by repeated squaring, so these take a few dozen products
+    assert main(["eq", "U^2000000", "U^1999999 U"]) == 0
+    assert capsys.readouterr().out.strip() == "EQUAL"
+    assert main(["apply", "chi:3", "U^1000000 S2"]) == 0
+    assert capsys.readouterr().out.strip() == "S2 U^1500000"

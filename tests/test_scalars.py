@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from q2algebra.scalars import DyadicCyclotomic, IMAG, MINUS_ONE, ONE, ZERO, cyclo, rational
+from q2algebra.torusfunc import LaurentCircleFunction
 
 from conftest import make_rng, rand_scalar, rand_unimodular
 
@@ -107,3 +108,26 @@ def test_text_and_json_round_trip():
     assert str(cyclo(3, 1)) == "zeta(8)"
     blob = cyclo(3, 3).to_json()
     assert blob["level"] == 3 and len(blob["coords"]) == 4
+
+
+def test_power_matches_repeated_product(rng):
+    for _ in range(20):
+        z = rand_scalar(rng, max_level=4)
+        for n in range(-5, 9):
+            step = z if n >= 0 else z.inv()
+            expected = ONE
+            for _ in range(abs(n)):
+                expected = expected * step
+            assert z**n == expected
+    assert ZERO**0 == ONE
+    with pytest.raises(ZeroDivisionError):
+        ZERO ** -1
+
+
+def test_circle_function_power_matches_repeated_product(rng):
+    for _ in range(10):
+        f = LaurentCircleFunction({rng.randint(-3, 3): rand_scalar(rng) for _ in range(3)})
+        expected = LaurentCircleFunction({0: 1})
+        for n in range(7):
+            assert f**n == expected
+            expected = expected * f

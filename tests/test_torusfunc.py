@@ -188,3 +188,8 @@ def test_laurent_unimodular_check():
     assert not LaurentCircleFunction({0: 1, 1: 1}).is_unimodular()
     mixed = LaurentCircleFunction({0: rational(3, 5), 1: 0}) * _char(0, rational(5, 3))
     assert mixed.is_unimodular()
+
+
+def test_laurent_negative_power_raises():
+    with pytest.raises(ValueError):
+        LaurentCircleFunction({1: 1, 2: 1}) ** -1
