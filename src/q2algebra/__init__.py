@@ -9,7 +9,7 @@ roots of unity, and the circle functional equations behind the outerness
 obstructions.
 """
 
-from .scalars import DyadicCyclotomic, Rational, cyclo, rational
+from .scalars import DyadicCyclotomic, cyclo, rational
 from .algebra import (
     Element,
     Monomial,

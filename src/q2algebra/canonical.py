@@ -14,7 +14,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .algebra import Element, Monomial
 from .scalars import DyadicCyclotomic, _sum_terms
@@ -121,9 +120,11 @@ class WindowMatrix:
     def size(self) -> int:
         return self.hi - self.lo + 1
 
-    def to_csr(self) -> sp.csr_matrix:
+    def to_csr(self) -> "scipy.sparse.csr_matrix":
+        import scipy.sparse  # on demand: window conversion is the only scipy use
+
         n = self.size
-        return sp.coo_matrix(
+        return scipy.sparse.coo_matrix(
             (self.vals, (self.rows - self.lo, self.cols - self.lo)), shape=(n, n)
         ).tocsr()
 

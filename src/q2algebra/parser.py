@@ -234,12 +234,9 @@ def _coef_text(c: DyadicCyclotomic, standalone: bool) -> tuple[bool, str]:
         if q == 1 and not standalone:
             return neg, ""
         return neg, str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-    nonzero = [(j, x) for j, x in enumerate(c.coords) if x]
-    if len(nonzero) == 1:
-        j, q = nonzero[0]
-        neg = q < 0
-        mag = DyadicCyclotomic(c.level, tuple(abs(x) for x in c.coords))
-        return neg, str(mag)
+    if len(c._terms) == 1:
+        [q] = c._terms.values()
+        return q < 0, str(-c if q < 0 else c)
     return False, f"({c})"
 
 

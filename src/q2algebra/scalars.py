@@ -1,10 +1,14 @@
 """Exact arithmetic in the dyadic cyclotomic fields Q(zeta_{2^N}).
 
-A value of level N >= 1 is stored by its coordinates over the power basis
-1, z, z^2, ..., z^(2^(N-1) - 1) where z = zeta_{2^N} = exp(2*pi*i / 2^N) and
-z^(2^(N-1)) = -1.  Level 0 means the rationals.  Every value is kept at its
-minimal level, so equality is plain coordinate comparison and multiplication
-is a negacyclic convolution.
+A value of level N >= 1 is a combination of the power basis 1, z, z^2, ...,
+z^(2^(N-1) - 1) where z = zeta_{2^N} = exp(2*pi*i / 2^N) and
+z^(2^(N-1)) = -1.  Level 0 means the rationals.  A value stores only its
+level and a zero-free sparse map {j: Fraction} from exponents to
+coordinates, so a root of unity is one entry at any level; the dense
+coordinate tuple is built only on request (``coords``, ``to_json``).
+Every value is kept at its minimal level by the one constructor
+``_scalar``, so equality is plain map comparison; multiplication is a
+negacyclic convolution accumulated through ``_sum_terms``.
 """
 
 from __future__ import annotations
@@ -13,7 +17,6 @@ import cmath
 from fractions import Fraction
 
 __all__ = [
-    "Rational",
     "DyadicCyclotomic",
     "cyclo",
     "rational",
@@ -22,8 +25,6 @@ __all__ = [
     "MINUS_ONE",
     "IMAG",
 ]
-
-Rational = Fraction
 
 _ZERO_FRAC = Fraction(0)
 _ONE_FRAC = Fraction(1)
@@ -36,65 +37,55 @@ def _dim(level: int) -> int:
 class DyadicCyclotomic:
     """Immutable element of Q(zeta_{2^N}), canonically level-minimized."""
 
-    __slots__ = ("level", "coords")
+    __slots__ = ("level", "_terms")
 
     def __init__(self, level: int, coords):
         if level < 0:
             raise ValueError("level must be non-negative")
-        coords = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in coords)
+        coords = [c if isinstance(c, Fraction) else Fraction(c) for c in coords]
         if len(coords) != _dim(level):
             raise ValueError(f"level {level} needs {_dim(level)} coordinates, got {len(coords)}")
-        # minimize the level: level 1 is Q itself, and a value of level N >= 2
-        # lies in the sublevel iff every odd coordinate vanishes
-        while level >= 1:
-            if level == 1:
-                level = 0
-                break
-            if any(coords[j] for j in range(1, len(coords), 2)):
-                break
-            level -= 1
-            coords = coords[0::2]
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "coords", coords)
+        value = _scalar(level, {j: c for j, c in enumerate(coords) if c})
+        object.__setattr__(self, "level", value.level)
+        object.__setattr__(self, "_terms", value._terms)
 
     def __setattr__(self, name, value):
         raise AttributeError("DyadicCyclotomic is immutable")
+
+    @property
+    def coords(self) -> tuple:
+        """The dense coordinate tuple over the power basis, built on request."""
+        out = [_ZERO_FRAC] * _dim(self.level)
+        for j, c in self._terms.items():
+            out[j] = c
+        return tuple(out)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def from_rational(cls, q) -> "DyadicCyclotomic":
-        return cls(0, (Fraction(q),))
+        return _rational(Fraction(q))
 
     @staticmethod
     def _coerce(other) -> "DyadicCyclotomic | None":
         if isinstance(other, DyadicCyclotomic):
             return other
         if isinstance(other, (int, Fraction)):
-            return DyadicCyclotomic(0, (Fraction(other),))
+            return _rational(Fraction(other))
         return None
 
     # -- structure ---------------------------------------------------------
 
-    def _promoted(self, level: int) -> tuple:
-        """Coordinates of self embedded at the given level >= self.level."""
-        if level == self.level:
-            return self.coords
-        if self.level == 0:
-            out = [_ZERO_FRAC] * _dim(level)
-            out[0] = self.coords[0]
-            return tuple(out)
-        factor = 1 << (level - self.level)
-        out = [_ZERO_FRAC] * _dim(level)
-        for j, c in enumerate(self.coords):
-            out[j * factor] = c
-        return tuple(out)
+    def _promoted(self, level: int) -> dict:
+        """The term map of self embedded at the given level >= self.level."""
+        shift = level - self.level
+        return {j << shift: c for j, c in self._terms.items()} if shift else self._terms
 
     def is_zero(self) -> bool:
-        return self.level == 0 and not self.coords[0]
+        return not self._terms
 
     def is_one(self) -> bool:
-        return self.level == 0 and self.coords[0] == 1
+        return self.level == 0 and self._terms.get(0) == 1
 
     def is_rational(self) -> bool:
         return self.level == 0
@@ -102,7 +93,7 @@ class DyadicCyclotomic:
     def as_rational(self) -> Fraction:
         if self.level != 0:
             raise ValueError(f"{self} is not rational")
-        return self.coords[0]
+        return self._terms.get(0, _ZERO_FRAC)
 
     def is_unimodular(self) -> bool:
         """Exact |x| = 1 test via x * conj(x) == 1."""
@@ -115,14 +106,13 @@ class DyadicCyclotomic:
         if other is None:
             return NotImplemented
         level = max(self.level, other.level)
-        a = self._promoted(level)
-        b = other._promoted(level)
-        return DyadicCyclotomic(level, tuple(x + y for x, y in zip(a, b)))
+        terms = dict(self._promoted(level))
+        return _scalar(level, _sum_terms(other._promoted(level).items(), terms))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return DyadicCyclotomic(self.level, tuple(-c for c in self.coords))
+        return _scalar(self.level, {j: -c for j, c in self._terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -140,29 +130,15 @@ class DyadicCyclotomic:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if self.level == 0:
-            q = self.coords[0]
-            return DyadicCyclotomic(other.level, tuple(q * c for c in other.coords))
-        if other.level == 0:
-            q = other.coords[0]
-            return DyadicCyclotomic(self.level, tuple(q * c for c in self.coords))
+        if self.level == 0 or other.level == 0:
+            x, q = (other, self._terms.get(0)) if self.level == 0 else (self, other._terms.get(0))
+            return _scalar(x.level, {j: q * c for j, c in x._terms.items()}) if q else ZERO
         level = max(self.level, other.level)
-        a = self._promoted(level)
+        n = _dim(level)
         b = other._promoted(level)
-        n = len(a)
-        out = [_ZERO_FRAC] * n
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            for j, bj in enumerate(b):
-                if not bj:
-                    continue
-                k = i + j
-                if k >= n:
-                    out[k - n] -= ai * bj
-                else:
-                    out[k] += ai * bj
-        return DyadicCyclotomic(level, tuple(out))
+        # z^k = -z^(k - n) for n <= k < 2n, because z^n = -1
+        products = ((i + j, ai * bj) for i, ai in self._promoted(level).items() for j, bj in b.items())
+        return _scalar(level, _sum_terms((k - n, -p) if k >= n else (k, p) for k, p in products))
 
     __rmul__ = __mul__
 
@@ -170,26 +146,19 @@ class DyadicCyclotomic:
         """Complex conjugation, zeta -> zeta^(-1)."""
         if self.level == 0:
             return self
-        n = len(self.coords)
-        out = [_ZERO_FRAC] * n
-        out[0] = self.coords[0]
-        for j in range(1, n):
-            # zeta^(-j) = -zeta^(n - j) because zeta^n = -1
-            out[n - j] -= self.coords[j]
-        return DyadicCyclotomic(self.level, tuple(out))
+        n = _dim(self.level)
+        # zeta^(-j) = -zeta^(n - j) because zeta^n = -1
+        return _scalar(self.level, {(n - j if j else 0): (-c if j else c) for j, c in self._terms.items()})
 
     def _galois_flip(self) -> "DyadicCyclotomic":
         """The automorphism zeta -> -zeta (level >= 2 only)."""
-        return DyadicCyclotomic(
-            self.level,
-            tuple(-c if j % 2 else c for j, c in enumerate(self.coords)),
-        )
+        return _scalar(self.level, {j: -c if j & 1 else c for j, c in self._terms.items()})
 
     def inv(self) -> "DyadicCyclotomic":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
         if self.level == 0:
-            return DyadicCyclotomic(0, (1 / self.coords[0],))
+            return _rational(1 / self._terms[0])
         # x * flip(x) kills the odd coordinates, so it lives at a lower level;
         # recurse down to the rationals
         flip = self._galois_flip()
@@ -212,34 +181,31 @@ class DyadicCyclotomic:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self.level == other.level and self.coords == other.coords
+        return self.level == other.level and self._terms == other._terms
 
     def __hash__(self):
-        return hash((self.level, self.coords))
+        return hash((self.level, frozenset(self._terms.items())))
 
     def __bool__(self):
-        return not self.is_zero()
+        return bool(self._terms)
 
     # -- embeddings and formats ---------------------------------------------
 
     def to_complex(self) -> complex:
         if self.level == 0:
-            return complex(self.coords[0])
+            return complex(self._terms.get(0, _ZERO_FRAC))
         order = 1 << self.level
         total = 0j
-        for j, c in enumerate(self.coords):
-            if c:
-                total += float(c) * cmath.exp(2j * cmath.pi * j / order)
+        for j, c in sorted(self._terms.items()):
+            total += float(c) * cmath.exp(2j * cmath.pi * j / order)
         return total
 
     def __str__(self):
         if self.level == 0:
-            return _frac_str(self.coords[0])
+            return _frac_str(self.as_rational())
         order = 1 << self.level
         parts = []
-        for j, c in enumerate(self.coords):
-            if not c:
-                continue
+        for j, c in sorted(self._terms.items()):
             root = "i" if (self.level == 2 and j == 1) else _zeta_str(order, j)
             if j == 0:
                 parts.append((c < 0, _frac_str(abs(c))))
@@ -247,8 +213,6 @@ class DyadicCyclotomic:
                 parts.append((c < 0, root))
             else:
                 parts.append((c < 0, f"{_frac_str(abs(c))} {root}"))
-        if not parts:
-            return "0"
         neg0, text = parts[0]
         out = ("-" if neg0 else "") + text
         for neg, text in parts[1:]:
@@ -270,6 +234,30 @@ class DyadicCyclotomic:
         return cls(int(data["level"]), coords)
 
 
+def _scalar(level: int, terms: dict) -> DyadicCyclotomic:
+    """The value owning a zero-free {j: Fraction} map at `level`, level-minimized.
+
+    If every exponent is divisible by 2^k the value lies at level - k; level 1
+    is Q itself (zeta_2 = -1), so it drops to level 0.
+    """
+    if level:
+        low = 0
+        for j in terms:
+            low |= j
+        shift = (low & -low).bit_length() - 1 if low else level - 1
+        if shift:
+            terms = {j >> shift: c for j, c in terms.items()}
+        level = 0 if level - shift == 1 else level - shift
+    out = DyadicCyclotomic.__new__(DyadicCyclotomic)
+    object.__setattr__(out, "level", level)
+    object.__setattr__(out, "_terms", terms)
+    return out
+
+
+def _rational(q: Fraction) -> DyadicCyclotomic:
+    return _scalar(0, {0: q} if q else {})
+
+
 def _frac_str(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
@@ -287,13 +275,7 @@ def cyclo(level: int, exponent: int) -> DyadicCyclotomic:
         return ONE
     e = exponent % (1 << level)
     n = _dim(level)
-    sign = _ONE_FRAC
-    if e >= n:
-        e -= n
-        sign = -_ONE_FRAC
-    coords = [_ZERO_FRAC] * n
-    coords[e] = sign
-    return DyadicCyclotomic(level, coords)
+    return _scalar(level, {e - n: -_ONE_FRAC} if e >= n else {e: _ONE_FRAC})
 
 
 def rational(p, q=1) -> DyadicCyclotomic:
@@ -301,12 +283,16 @@ def rational(p, q=1) -> DyadicCyclotomic:
 
 
 def _sum_terms(pairs, into: dict | None = None) -> dict:
-    """Add (key, scalar) pairs into a dict by key; keys summing to zero are dropped."""
+    """Add (key, value) pairs into a dict by key; keys summing to zero are dropped.
+
+    The one accumulator for term maps: Element and circle-function terms
+    (scalar values) and scalar coordinates (Fraction values).
+    """
     data = {} if into is None else into
     for key, value in pairs:
         if key in data:
             value = data[key] + value
-        if value.is_zero():
+        if not value:
             data.pop(key, None)
         else:
             data[key] = value
@@ -329,7 +315,7 @@ def _power(base, n: int, one):
     return one if out is None else out
 
 
-ZERO = DyadicCyclotomic(0, (_ZERO_FRAC,))
-ONE = DyadicCyclotomic(0, (_ONE_FRAC,))
-MINUS_ONE = DyadicCyclotomic(0, (-_ONE_FRAC,))
+ZERO = _rational(_ZERO_FRAC)
+ONE = _rational(_ONE_FRAC)
+MINUS_ONE = _rational(-_ONE_FRAC)
 IMAG = cyclo(2, 1)

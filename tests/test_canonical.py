@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import q2algebra
 from q2algebra.algebra import (
     Element,
     GEN_S1,
@@ -146,3 +152,10 @@ def test_displacement_bound_is_exact_beyond_float_precision():
     n = (1 << 55) + 3
     x = Element([(Monomial(0, 0, 0, -n), 1)])
     assert displacement_bound(x, 0, 0) == n + 1
+
+
+def test_import_does_not_load_scipy():
+    # scipy is imported on the first window conversion, not with the package
+    code = "import sys, q2algebra; assert 'scipy' not in sys.modules, 'scipy loaded'"
+    src = str(Path(q2algebra.__file__).parents[1])
+    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})

@@ -192,3 +192,6 @@ def test_cli_large_powers(capsys):
     assert capsys.readouterr().out.strip() == "EQUAL"
     assert main(["apply", "chi:3", "U^1000000 S2"]) == 0
     assert capsys.readouterr().out.strip() == "S2 U^1500000"
+    # a level-24 gauge parameter is a single stored coordinate
+    assert main(["apply", "gauge:zeta(2^24)^3", "S2"]) == 0
+    assert capsys.readouterr().out.strip() == "zeta(16777216)^3 S2"

@@ -1,4 +1,6 @@
 import cmath
+import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -89,13 +91,103 @@ def test_unimodular_closed_under_mul():
         assert (x * y).is_unimodular()
 
 
-@given(st.integers(0, 5), st.integers(-40, 40), st.integers(0, 5), st.integers(-40, 40))
+@given(st.integers(0, 24), st.integers(-40, 40), st.integers(0, 24), st.integers(-40, 40))
 @settings(max_examples=80, deadline=None)
 def test_roots_multiply_by_exponent_addition(l1, e1, l2, e2):
     lhs = cyclo(l1, e1) * cyclo(l2, e2)
     level = max(l1, l2)
     rhs = cyclo(level, (e1 << (level - l1)) + (e2 << (level - l2)))
     assert lhs == rhs
+
+
+def test_high_level_roots_stay_small():
+    # a dense store would allocate 2^23 coordinates per level-24 value
+    tracemalloc.start()
+    try:
+        assert cyclo(24, 1) * cyclo(24, 3) == cyclo(24, 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+# Dense reference arithmetic: coordinate tuples over the power basis,
+# multiplied by the negacyclic convolution z^n = -1 and level-minimized.
+
+def _ref_minimized(level, coords):
+    while level >= 1:
+        if level == 1:
+            return 0, coords
+        if any(coords[1::2]):
+            break
+        level, coords = level - 1, coords[0::2]
+    return level, coords
+
+
+def _ref_promoted(x, level):
+    n = 1 if level == 0 else 1 << (level - 1)
+    out = [Fraction(0)] * n
+    step = n // len(x[1]) if x[0] else n
+    for j, c in enumerate(x[1]):
+        out[j * step] = c
+    return out
+
+
+def _ref_add(x, y):
+    level = max(x[0], y[0])
+    a, b = _ref_promoted(x, level), _ref_promoted(y, level)
+    return _ref_minimized(level, tuple(p + q for p, q in zip(a, b)))
+
+
+def _ref_mul(x, y):
+    level = max(x[0], y[0])
+    a, b = _ref_promoted(x, level), _ref_promoted(y, level)
+    n = len(a)
+    out = [Fraction(0)] * n
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            if i + j >= n:
+                out[i + j - n] -= ai * bj
+            else:
+                out[i + j] += ai * bj
+    return _ref_minimized(level, tuple(out))
+
+
+def _ref_conj(x):
+    level, coords = x
+    if level == 0:
+        return x
+    n = len(coords)
+    return _ref_minimized(level, (coords[0],) + tuple(-coords[n - j] for j in range(1, n)))
+
+
+def _ref_inv(x):
+    level, coords = x
+    if level == 0:
+        return 0, (1 / coords[0],)
+    flip = (level, tuple(-c if j % 2 else c for j, c in enumerate(coords)))
+    return _ref_mul(flip, _ref_inv(_ref_mul(x, flip)))
+
+
+def test_sparse_arithmetic_matches_dense_reference(rng):
+    for level in range(7):
+        for _ in range(6):
+            x, y = rand_scalar(rng, max_level=level), rand_scalar(rng, max_level=level)
+            rx, ry = (x.level, x.coords), (y.level, y.coords)
+            assert ((x * y).level, (x * y).coords) == _ref_mul(rx, ry)
+            assert ((x + y).level, (x + y).coords) == _ref_add(rx, ry)
+            assert (x.conj().level, x.conj().coords) == _ref_conj(rx)
+            assert (x.inv().level, x.inv().coords) == _ref_inv(rx)
+
+
+def test_equal_values_have_equal_hashes(rng):
+    assert cyclo(3, 2) == IMAG and hash(cyclo(3, 2)) == hash(IMAG)
+    assert hash(DyadicCyclotomic(3, (0, 0, 1, 0))) == hash(IMAG)
+    assert hash(cyclo(5, 16)) == hash(MINUS_ONE) == hash(-ONE)
+    for _ in range(30):
+        x, y = rand_scalar(rng, max_level=5), rand_scalar(rng, max_level=5)
+        assert (x + y) - y == x and hash((x + y) - y) == hash(x)
+        assert x * y * y.inv() == x and hash(x * y * y.inv()) == hash(x)
 
 
 def test_text_and_json_round_trip():
