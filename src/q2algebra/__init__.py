@@ -97,7 +97,6 @@ from .dyadic import (
     build_Sz,
     build_Uz,
     check_Uz_relations,
-    lex_multiindex,
     membership_Uz,
     two_adic_continuity,
 )

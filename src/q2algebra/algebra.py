@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
-from .scalars import DyadicCyclotomic, Fraction, ONE as SC_ONE, ZERO as SC_ZERO, _power, _sum_terms
+from .scalars import DyadicCyclotomic, ONE as SC_ONE, ZERO as SC_ZERO, _exact, _power, _sum_terms
 
 __all__ = [
     "Monomial",
@@ -163,24 +163,19 @@ class Element:
         return self + (-other)
 
     def scale(self, s) -> "Element":
-        if not isinstance(s, DyadicCyclotomic):
-            s = DyadicCyclotomic.from_rational(s)
+        s = _exact(s)
         if s.is_zero():
             return ZERO
         return _element({m: s * c for m, c in self._terms.items()})
 
     def __rmul__(self, s):
-        if isinstance(s, (int, Fraction, DyadicCyclotomic)):
-            return self.scale(s)
-        return NotImplemented
+        return self.scale(s)
 
     # -- ring structure ---------------------------------------------------------
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, DyadicCyclotomic)):
-            return self.scale(other)
         if not isinstance(other, Element):
-            return NotImplemented
+            return self.scale(other)
         return _element(_sum_terms(
             (prod, c1 * c2)
             for m1, c1 in self._terms.items()
@@ -233,9 +228,7 @@ class Element:
 def _checked_term(mono, coef) -> tuple[Monomial, DyadicCyclotomic]:
     if not isinstance(mono, Monomial):
         mono = Monomial(*mono)
-    if not isinstance(coef, DyadicCyclotomic):
-        coef = DyadicCyclotomic.from_rational(coef)
-    return mono.validate(), coef
+    return mono.validate(), _exact(coef)
 
 
 def _element(terms: dict) -> Element:
@@ -250,11 +243,7 @@ def monomial(l: int, a: int, b: int, c: int, coef=1) -> Element:
 
 
 def scalar(s) -> Element:
-    if not isinstance(s, DyadicCyclotomic):
-        s = DyadicCyclotomic.from_rational(s)
-    if s.is_zero():
-        return ZERO
-    return Element([(Monomial(0, 0, 0, 0), s)])
+    return ONE.scale(s)
 
 
 ZERO = Element()
@@ -440,7 +429,12 @@ def multiindex_label(digits: Iterable[int]) -> int:
 
 
 def multiindex_of_label(j: int, k: int) -> tuple[int, ...]:
-    """The length-k multi-index alpha with l(alpha) = j, 0 <= j < 2^k."""
+    """The length-k multi-index alpha with l(alpha) = j, 0 <= j < 2^k.
+
+    It is the j-th length-k multi-index in the lexicographic order with
+    2 < 1, read right to left, and S_alpha S_alpha* is the projection onto
+    {i = j mod 2^k}.
+    """
     if not 0 <= j < (1 << k):
         raise ValueError(f"label {j} out of range for length {k}")
     return tuple(1 if (j >> pos) & 1 else 2 for pos in range(k))

@@ -23,14 +23,12 @@ from .algebra import (
     Monomial,
     equals,
     membership,
-    multiindex_of_label,
 )
 from .scalars import cyclo
 
 __all__ = [
     "RootOfUnity",
     "RelationViolatedUz",
-    "IndexOutOfRange",
     "build_Uz",
     "build_Sz",
     "check_Uz_relations",
@@ -38,16 +36,11 @@ __all__ = [
     "Continuous",
     "Obstructed",
     "two_adic_continuity",
-    "lex_multiindex",
 ]
 
 
 class RelationViolatedUz(RuntimeError):
     """A U_z defining relation failed (must not happen)."""
-
-
-class IndexOutOfRange(ValueError):
-    """Label outside [0, 2^k) for the requested multi-index length."""
 
 
 @dataclass(frozen=True)
@@ -184,12 +177,3 @@ def two_adic_continuity(sampler, depth: int, tol: float = 1e-6) -> Continuous | 
         oscillations=tuple(oscs),
         witness=(j, k, bad + 1, oscs[bad]),
     )
-
-
-def lex_multiindex(j: int, k: int) -> tuple[int, ...]:
-    """The j-th length-k multi-index in the lexicographic order with 2 < 1,
-    read right to left; it is the alpha with label l(alpha) = j, so that
-    S_alpha S_alpha* is the projection onto {i = j mod 2^k}."""
-    if not 0 <= j < (1 << k):
-        raise IndexOutOfRange(f"j = {j} not in [0, 2^{k})")
-    return multiindex_of_label(j, k)

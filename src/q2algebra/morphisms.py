@@ -29,7 +29,7 @@ from .algebra import (
     membership,
 )
 from .expectations import E_CU
-from .scalars import DyadicCyclotomic, _sum_terms
+from .scalars import DyadicCyclotomic, _as_scalar, _exact, _sum_terms
 from .torusfunc import LaurentCircleFunction
 
 __all__ = [
@@ -168,8 +168,7 @@ def agree_on_generators(e1: Endomorphism, e2: Endomorphism) -> bool:
 
 def gauge(z: DyadicCyclotomic) -> Endomorphism:
     """The gauge automorphism U -> U, S2 -> z S2 for an exact unimodular z."""
-    if not isinstance(z, DyadicCyclotomic):
-        z = DyadicCyclotomic.from_rational(z)
+    z = _exact(z)
     if not z.is_unimodular():
         raise NotUnitary(f"gauge parameter {z} is not unimodular")
     return Endomorphism(GEN_U, GEN_S2.scale(z), label=f"gauge:{z}")
@@ -199,8 +198,7 @@ def chi(odd: int) -> Endomorphism:
 
 def beta_monomial(w: DyadicCyclotomic, n: int) -> Endomorphism:
     """beta^f for the circle monomial f(z) = w z^n: U -> U, S2 -> w U^n S2."""
-    if not isinstance(w, DyadicCyclotomic):
-        w = DyadicCyclotomic.from_rational(w)
+    w = _exact(w)
     if not w.is_unimodular():
         raise NotUnitary(f"beta coefficient {w} is not unimodular")
     u_pow = GEN_U**n if n >= 0 else GEN_U_STAR ** (-n)
@@ -334,8 +332,7 @@ class BogoljubovMatrix:
         return (self.a, self.b, self.c, self.d)
 
     def is_exact(self) -> bool:
-        return all(isinstance(v, (int, DyadicCyclotomic)) or getattr(v, "denominator", None) is not None
-                   for v in self.entries())
+        return all(_as_scalar(v) is not None for v in self.entries())
 
 
 _TOL = 1e-12
@@ -347,19 +344,9 @@ def _as_complex(v) -> complex:
     return complex(v)
 
 
-def _entry_zero(v, exact: bool) -> bool:
-    if exact:
-        if isinstance(v, DyadicCyclotomic):
-            return v.is_zero()
-        return v == 0
-    return abs(_as_complex(v)) <= _TOL
-
-
 def _entry_eq(v, w, exact: bool) -> bool:
     if exact:
-        dv = v if isinstance(v, DyadicCyclotomic) else DyadicCyclotomic.from_rational(v)
-        dw = w if isinstance(w, DyadicCyclotomic) else DyadicCyclotomic.from_rational(w)
-        return dv == dw
+        return _as_scalar(v) == w
     return abs(_as_complex(v) - _as_complex(w)) <= _TOL
 
 
@@ -377,11 +364,11 @@ def bogoljubov_classify(A: BogoljubovMatrix) -> Gauge | FlipFlopGauge | NotExten
             if abs(dot - (1 if i == j else 0)) > _TOL:
                 raise NotUnitary("matrix is not unitary within 1e-12")
     exact = A.is_exact()
-    if _entry_zero(A.b, exact) and _entry_zero(A.c, exact):
+    if _entry_eq(A.b, 0, exact) and _entry_eq(A.c, 0, exact):
         if _entry_eq(A.a, A.d, exact):
             return Gauge(A.a)
         return NotExtensible()
-    if _entry_zero(A.a, exact) and _entry_zero(A.d, exact):
+    if _entry_eq(A.a, 0, exact) and _entry_eq(A.d, 0, exact):
         if _entry_eq(A.b, A.c, exact):
             return FlipFlopGauge(A.b)
         return NotExtensible()

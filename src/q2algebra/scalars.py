@@ -9,12 +9,20 @@ coordinate tuple is built only on request (``coords``, ``to_json``).
 Every value is kept at its minimal level by the one constructor
 ``_scalar``, so equality is plain map comparison; multiplication is a
 negacyclic convolution accumulated through ``_sum_terms``.
+
+A Python value is an exact scalar if and only if it is a DyadicCyclotomic
+or a numbers.Rational (int, bool, Fraction, numpy integers); ``_as_scalar``
+alone decides this and converts.  Arithmetic and ``==`` return
+NotImplemented for anything else, and every site that takes a coefficient
+raises TypeError: floats, complex numbers and strings are never converted.
+Equal scalars hash equal, so a rational value hashes as its Fraction.
 """
 
 from __future__ import annotations
 
 import cmath
 from fractions import Fraction
+from numbers import Rational
 
 __all__ = [
     "DyadicCyclotomic",
@@ -64,15 +72,8 @@ class DyadicCyclotomic:
 
     @classmethod
     def from_rational(cls, q) -> "DyadicCyclotomic":
-        return _rational(Fraction(q))
-
-    @staticmethod
-    def _coerce(other) -> "DyadicCyclotomic | None":
-        if isinstance(other, DyadicCyclotomic):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return _rational(Fraction(other))
-        return None
+        """q as a scalar; TypeError unless q is exact (see ``_as_scalar``)."""
+        return _exact(q)
 
     # -- structure ---------------------------------------------------------
 
@@ -102,7 +103,7 @@ class DyadicCyclotomic:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        other = self._coerce(other)
+        other = _as_scalar(other)
         if other is None:
             return NotImplemented
         level = max(self.level, other.level)
@@ -115,19 +116,19 @@ class DyadicCyclotomic:
         return _scalar(self.level, {j: -c for j, c in self._terms.items()})
 
     def __sub__(self, other):
-        other = self._coerce(other)
+        other = _as_scalar(other)
         if other is None:
             return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
-        other = self._coerce(other)
+        other = _as_scalar(other)
         if other is None:
             return NotImplemented
         return other + (-self)
 
     def __mul__(self, other):
-        other = self._coerce(other)
+        other = _as_scalar(other)
         if other is None:
             return NotImplemented
         if self.level == 0 or other.level == 0:
@@ -167,7 +168,7 @@ class DyadicCyclotomic:
         return flip * norm.inv()
 
     def __truediv__(self, other):
-        other = self._coerce(other)
+        other = _as_scalar(other)
         if other is None:
             return NotImplemented
         return self * other.inv()
@@ -178,12 +179,15 @@ class DyadicCyclotomic:
     # -- comparison --------------------------------------------------------
 
     def __eq__(self, other):
-        other = self._coerce(other)
+        other = _as_scalar(other)
         if other is None:
             return NotImplemented
         return self.level == other.level and self._terms == other._terms
 
     def __hash__(self):
+        # a rational value equals its Fraction (and int), so it hashes as one
+        if self.level == 0:
+            return hash(self._terms.get(0, _ZERO_FRAC))
         return hash((self.level, frozenset(self._terms.items())))
 
     def __bool__(self):
@@ -256,6 +260,30 @@ def _scalar(level: int, terms: dict) -> DyadicCyclotomic:
 
 def _rational(q: Fraction) -> DyadicCyclotomic:
     return _scalar(0, {0: q} if q else {})
+
+
+def _as_scalar(x) -> DyadicCyclotomic | None:
+    """x as a DyadicCyclotomic if it is an exact scalar, else None.
+
+    The package's one rule for exact scalars: a DyadicCyclotomic or a
+    numbers.Rational.  Floats, complex numbers and strings are not exact.
+    """
+    if isinstance(x, DyadicCyclotomic):
+        return x
+    if isinstance(x, (int, Fraction)):
+        return _rational(Fraction(x))
+    if isinstance(x, Rational):
+        # numpy integers: their numerator is fixed-width, so make it a Python int
+        return _rational(Fraction(int(x.numerator), int(x.denominator)))
+    return None
+
+
+def _exact(x) -> DyadicCyclotomic:
+    """x as a DyadicCyclotomic; TypeError naming x if it is not an exact scalar."""
+    value = _as_scalar(x)
+    if value is None:
+        raise TypeError(f"{x!r} is not an exact scalar (DyadicCyclotomic, int or Fraction)")
+    return value
 
 
 def _frac_str(q: Fraction) -> str:

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .scalars import DyadicCyclotomic, ONE as SC_ONE, ZERO as SC_ZERO, _power, _sum_terms, cyclo
+from .scalars import DyadicCyclotomic, ONE as SC_ONE, _exact, _power, _sum_terms
 
 __all__ = [
     "LaurentCircleFunction",
@@ -67,13 +67,7 @@ class LaurentCircleFunction:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: dict):
-        data = {}
-        for k, c in coeffs.items():
-            if not isinstance(c, DyadicCyclotomic):
-                c = DyadicCyclotomic.from_rational(c)
-            if not c.is_zero():
-                data[int(k)] = c
-        object.__setattr__(self, "coeffs", data)
+        object.__setattr__(self, "coeffs", _sum_terms((int(k), _exact(c)) for k, c in coeffs.items()))
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentCircleFunction is immutable")
@@ -125,13 +119,6 @@ class LaurentCircleFunction:
             raise NotUnimodular("function is not a single circle monomial")
         ((n, w),) = self.coeffs.items()
         return w, n
-
-    def eval_root(self, level: int, exponent: int) -> DyadicCyclotomic:
-        """Exact value at zeta_{2^level}^exponent."""
-        out = SC_ZERO
-        for k, c in self.coeffs.items():
-            out = out + c * cyclo(level, exponent * k)
-        return out
 
     def sample(self, level: int) -> "DyadicGridFunction":
         size = 1 << level

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from q2algebra.algebra import (
@@ -252,6 +254,8 @@ def test_bogoljubov_case_table():
     assert isinstance(bogoljubov_classify(BogoljubovMatrix(1, 0, 0, IMAG)), NotExtensible)
     assert bogoljubov_classify(BogoljubovMatrix(0, z, z, 0)) == FlipFlopGauge(z)
     assert isinstance(bogoljubov_classify(BogoljubovMatrix(0, 1, IMAG, 0)), NotExtensible)
+    assert isinstance(bogoljubov_classify(BogoljubovMatrix(Fraction(1), 0, 0, rational(1))), Gauge)
+    assert isinstance(bogoljubov_classify(BogoljubovMatrix(Fraction(-1), 0, 0, 1)), NotExtensible)
     r = 2**-0.5
     assert isinstance(bogoljubov_classify(BogoljubovMatrix(r, r, r, -r)), NotExtensible)
     # floating entries equal within 1e-12 classify as a gauge automorphism

@@ -2,9 +2,12 @@ import cmath
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from q2algebra.algebra import GEN_S2, Element, Monomial
+from q2algebra.morphisms import beta_monomial, gauge
 from q2algebra.scalars import DyadicCyclotomic, IMAG, MINUS_ONE, ONE, ZERO, cyclo, rational
 from q2algebra.torusfunc import LaurentCircleFunction
 
@@ -184,10 +187,37 @@ def test_equal_values_have_equal_hashes(rng):
     assert cyclo(3, 2) == IMAG and hash(cyclo(3, 2)) == hash(IMAG)
     assert hash(DyadicCyclotomic(3, (0, 0, 1, 0))) == hash(IMAG)
     assert hash(cyclo(5, 16)) == hash(MINUS_ONE) == hash(-ONE)
+    # a rational value equals its int and Fraction, so it hashes as they do
+    assert len({rational(2), 2}) == 1
+    assert hash(rational(1, 3)) == hash(Fraction(1, 3))
+    assert {2: "x"}[rational(2)] == "x"
     for _ in range(30):
         x, y = rand_scalar(rng, max_level=5), rand_scalar(rng, max_level=5)
         assert (x + y) - y == x and hash((x + y) - y) == hash(x)
         assert x * y * y.inv() == x and hash(x * y * y.inv()) == hash(x)
+
+
+def test_only_exact_numbers_are_scalars():
+    m = Monomial(0, 1, 0, 0)
+    inexact = [
+        lambda: Element([(m, 0.1)]),
+        lambda: Element([(m, "1/3")]),
+        lambda: GEN_S2.scale(0.5),
+        lambda: gauge(1.0),
+        lambda: beta_monomial(1.0, 0),
+        lambda: LaurentCircleFunction({0: 0.1}),
+        lambda: DyadicCyclotomic.from_rational(0.5),
+        lambda: rational(1) + 0.5,
+    ]
+    for build in inexact:
+        with pytest.raises(TypeError):
+            build()
+    for exact in (np.int64(2), Fraction(2)):
+        assert rational(2) == exact and rational(1) + exact == 3
+        assert DyadicCyclotomic.from_rational(exact) == rational(2)
+        assert Element([(m, exact)]).coefficient(m) == rational(2)
+        assert GEN_S2 * exact == GEN_S2.scale(rational(2))
+    assert type(DyadicCyclotomic.from_rational(np.int64(2)).as_rational().numerator) is int
 
 
 def test_text_and_json_round_trip():
