@@ -366,7 +366,7 @@ def equals(x: Element, y: Element) -> bool:
 
 def gauge_component(x: Element, d: int) -> Element:
     """The part of x of gauge degree d (terms with a - b = d)."""
-    return Element((m, c) for m, c in x._terms.items() if m.degree() == d)
+    return _element({m: c for m, c in x._terms.items() if m.degree() == d})
 
 
 _MEMBER_TESTS = {

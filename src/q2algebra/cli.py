@@ -26,7 +26,7 @@ import sys
 
 from .algebra import Element, Monomial, equals, membership, normalize_depth
 from .canonical import apply_basis, window_matrix
-from .expectations import E_CU, E_D2, E_diag_window, E_gauge
+from .expectations import E_CU, E_D2, E_diag_window, E_gauge, _laurent_of
 from .morphisms import (
     BogoljubovMatrix,
     Endomorphism,
@@ -41,7 +41,6 @@ from .parser import ParseError, parse_element, print_element
 from .scalars import DyadicCyclotomic
 from .torusfunc import (
     DyadicGridFunction,
-    LaurentCircleFunction,
     cascade_solve,
     check_power_equation,
     parse_angle,
@@ -174,10 +173,13 @@ def _cmd_window(args) -> int:
         win = window_matrix("Uz", lo, hi, phi=float(parse_angle(op[3:])))
     else:
         win = window_matrix(parse_element(op), lo, hi)
-    print(win.to_json() if args.format == "json" else win.to_csv(), end="")
-    if args.format != "json":
-        print()
+    _print_window(win, args.format)
     return 0
+
+
+def _print_window(win, fmt: str) -> None:
+    """CSV or JSON dump of a window matrix, ending in exactly one newline."""
+    print((win.to_json() if fmt == "json" else win.to_csv()).rstrip("\n"))
 
 
 def _cmd_classify_bogoljubov(args) -> int:
@@ -198,10 +200,7 @@ def _cmd_uz(args) -> int:
     check_Uz_relations(args.n)
     if args.window:
         lo, hi = _parse_window(args.window)
-        win = window_matrix(uz, lo, hi)
-        print(win.to_json() if args.format == "json" else win.to_csv(), end="")
-        if args.format != "json":
-            print()
+        _print_window(window_matrix(uz, lo, hi), args.format)
         return 0
     print(_element_output(uz, args.format))
     return 0
@@ -235,15 +234,10 @@ def _cmd_cascade(args) -> int:
     return 1 if report.obstructed else 0
 
 
-def _laurent_of(x: Element) -> LaurentCircleFunction:
-    cu = E_CU(x)
-    if not equals(cu, x):
-        raise _CliError("expression is not a Laurent polynomial in U", 3)
-    return LaurentCircleFunction({m.c: coef for m, coef in cu.terms.items()})
-
-
 def _cmd_solve_feq(args) -> int:
     f = _laurent_of(parse_element(args.expr))
+    if f is None:
+        raise _CliError("expression is not a Laurent polynomial in U", 3)
     n = check_power_equation(f, args.power) if args.power else solve_square_equation(f)
     print(json.dumps({"exponent": n}) if args.format == "json" else str(n))
     return 0

@@ -1,14 +1,17 @@
 """Conditional expectations onto the gauge-invariant part, C*(U) and the
 diagonal, the windowed l-infinity diagonal, the gauge-Fourier coefficient
-maps, and the stabilizing S1-compression limit."""
+maps, and the stabilizing S1-compression limit.  The monomial rules for the
+gauge-invariant part and the diagonal are algebra's; none is copied here."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import Element, GEN_S1, GEN_S1_STAR, Monomial, equals
+from .algebra import (Element, GEN_S1, GEN_S1_STAR, Monomial, _MEMBER_TESTS, _element, equals,
+                      gauge_component)
 from .canonical import fixed_points
 from .scalars import DyadicCyclotomic, _sum_terms
+from .torusfunc import LaurentCircleFunction
 
 __all__ = [
     "E_gauge",
@@ -34,22 +37,29 @@ class NotStabilized(RuntimeError):
 
 
 def E_gauge(x: Element) -> Element:
-    """Gauge averaging: keeps exactly the terms with a = b."""
-    return Element((m, c) for m, c in x.terms.items() if m.a == m.b)
+    """Gauge averaging: keeps exactly the terms of gauge degree a - b = 0."""
+    return gauge_component(x, 0)
 
 
 def E_CU(x: Element) -> Element:
     """The unique expectation onto C*(U): (l,a,b,c) -> delta_{a,b} 2^-a U^(l+c)."""
     return Element(
         (Monomial(0, 0, 0, m.l + m.c), coef * Fraction(1, 1 << m.a))
-        for m, coef in x.terms.items()
-        if m.a == m.b
+        for m, coef in E_gauge(x)._terms.items()
     )
+
+
+def _laurent_of(x: Element) -> LaurentCircleFunction | None:
+    """The Laurent polynomial f with x = f(U), or None if x is not in C*(U)."""
+    cu = E_CU(x)
+    if not equals(cu, x):
+        return None
+    return LaurentCircleFunction({m.c: coef for m, coef in cu._terms.items()})
 
 
 def E_D2(x: Element) -> Element:
     """The diagonal expectation: keeps (l,a,b,c) iff a = b and c = -l."""
-    return Element((m, c) for m, c in x.terms.items() if m.a == m.b and m.c == -m.l)
+    return _element({m: c for m, c in x._terms.items() if _MEMBER_TESTS["D2"](m)})
 
 
 def E_diag_window(x: Element, lo: int, hi: int) -> dict[int, DyadicCyclotomic]:
@@ -84,7 +94,7 @@ def s1_limit(x: Element) -> DyadicCyclotomic:
     depth + max|c| + 2 steps.
     """
     for mono in x.terms:
-        if mono.a != mono.b:
+        if not _MEMBER_TESTS["QT"](mono):
             raise NotGaugeInvariant(f"term {tuple(mono)} has gauge degree {mono.degree()}")
     bound = x.depth + max((abs(m.c) for m in x.terms), default=0) + 2
     y = x

@@ -50,7 +50,7 @@ class DyadicCyclotomic:
     def __init__(self, level: int, coords):
         if level < 0:
             raise ValueError("level must be non-negative")
-        coords = [c if isinstance(c, Fraction) else Fraction(c) for c in coords]
+        coords = [_exact(c).as_rational() for c in coords]
         if len(coords) != _dim(level):
             raise ValueError(f"level {level} needs {_dim(level)} coordinates, got {len(coords)}")
         value = _scalar(level, {j: c for j, c in enumerate(coords) if c})
@@ -204,6 +204,8 @@ class DyadicCyclotomic:
             total += float(c) * cmath.exp(2j * cmath.pi * j / order)
         return total
 
+    __complex__ = to_complex
+
     def __str__(self):
         if self.level == 0:
             return _frac_str(self.as_rational())
@@ -307,7 +309,7 @@ def cyclo(level: int, exponent: int) -> DyadicCyclotomic:
 
 
 def rational(p, q=1) -> DyadicCyclotomic:
-    return DyadicCyclotomic.from_rational(Fraction(p, q))
+    return _exact(p) / _exact(q)
 
 
 def _sum_terms(pairs, into: dict | None = None) -> dict:

@@ -190,25 +190,22 @@ def solve_square_equation(f: LaurentCircleFunction) -> int:
     T-valued forces f = w z^n; the equation then reads w z^2n = w^2 z^2n and
     pins w = 1.
     """
-    if not f.is_unimodular():
-        raise NotUnimodular("f is not T-valued")
-    if f.compose_power(2) != f * f:
-        raise NotASolution("f(z^2) != f(z)^2")
-    w, n = f.single_term()
-    assert w.is_one()
-    return n
+    return check_power_equation(f, 2)
 
 
 def check_power_equation(f: LaurentCircleFunction, n_max: int) -> int:
     """Verify f(z^n) = f(z)^n as polynomials for 2 <= n <= n_max; return the
-    exponent k with f = z^k."""
+    exponent k with f = z^k.
+
+    A T-valued f is w z^k, and w^n = w already fails at n = 2 unless w = 1.
+    """
     if not f.is_unimodular():
         raise NotUnimodular("f is not T-valued")
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
     for n in range(2, n_max + 1):
         if f.compose_power(n) != f**n:
-            raise NotASolution(f"f(z^n) != f(z)^n at n = {n}")
+            raise NotASolution(f"f(z^{n}) != f(z)^{n}")
     w, k = f.single_term()
     assert w.is_one()
     return k

@@ -278,6 +278,11 @@ def test_decompose_S2_image():
         decompose_S2_image(S1 * S1s)  # not an isometry
     with pytest.raises(NotInS2):
         decompose_S2_image(S2 * S2)  # S2^2 U = U^4 S2^2 breaks s U = U^2 s
+    # an isometry with s U = U^2 s whose ranges overlap: s s* + U s s* U* = |f|^2(U)
+    s = (ONE.scale(rational(3, 5)) + U.scale(rational(4, 5))) * S2
+    assert equals(s.adjoint() * s, ONE) and equals(s * U, U * U * s)
+    with pytest.raises(NotInS2, match=r"S2 S2\* \+ U S2 S2\* U\* = 1"):
+        decompose_S2_image(s)
 
 
 def test_random_extensions_respect_rigidity(rng):

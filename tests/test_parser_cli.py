@@ -118,6 +118,16 @@ def test_cli_window_and_eval(capsys):
     assert capsys.readouterr().out.strip() == "e_6: 1"
 
 
+def test_cli_window_output_ends_in_one_newline(capsys):
+    for argv in (["window", "S2", "--window=-2:2"], ["uz", "2", "--window=-2:2"]):
+        for fmt in ("text", "json"):
+            assert main([*argv, "--format", fmt]) == 0
+            out = capsys.readouterr().out
+            assert out.endswith("\n") and not out.endswith("\n\n"), (argv, fmt)
+            if fmt == "json":
+                assert json.loads(out)["lo"] == -2
+
+
 def test_cli_classify_and_uz(capsys):
     assert main(["classify-bogoljubov", "zeta(8)", "0", "0", "zeta(8)"]) == 0
     assert capsys.readouterr().out.strip() == "Gauge(zeta(8))"

@@ -40,6 +40,7 @@ def test_field_ops_examples():
 
 def test_to_complex_examples():
     assert ONE.to_complex() == 1.0 + 0.0j
+    assert complex(cyclo(3, 1)) == cyclo(3, 1).to_complex()
     assert abs(IMAG.to_complex() - 1j) < 1e-15
     val = cyclo(3, 1).to_complex()
     assert abs(val.real - 2**0.5 / 2) < 1e-12
@@ -208,6 +209,8 @@ def test_only_exact_numbers_are_scalars():
         lambda: LaurentCircleFunction({0: 0.1}),
         lambda: DyadicCyclotomic.from_rational(0.5),
         lambda: rational(1) + 0.5,
+        lambda: DyadicCyclotomic(0, [0.1]),
+        lambda: DyadicCyclotomic(0, ["1/3"]),
     ]
     for build in inexact:
         with pytest.raises(TypeError):
@@ -218,6 +221,15 @@ def test_only_exact_numbers_are_scalars():
         assert Element([(m, exact)]).coefficient(m) == rational(2)
         assert GEN_S2 * exact == GEN_S2.scale(rational(2))
     assert type(DyadicCyclotomic.from_rational(np.int64(2)).as_rational().numerator) is int
+    assert DyadicCyclotomic(1, [Fraction(1, 2)]) == rational(1, 2)
+
+
+def test_rational_of_numpy_integers_is_exact():
+    # a fixed-width numerator would wrap 2^64 to zero
+    assert rational(np.int64(2**62), 3) * 4 == rational(2**64, 3)
+    assert rational(np.int64(6), np.int64(4)) == rational(3, 2)
+    with pytest.raises(ZeroDivisionError):
+        rational(1, 0)
 
 
 def test_text_and_json_round_trip():

@@ -45,8 +45,10 @@ def test_solve_square_equation():
 def test_check_power_equation():
     assert check_power_equation(_char(-2), 5) == -2
     assert check_power_equation(_char(0), 4) == 0
-    with pytest.raises(NotASolution):
-        check_power_equation(_char(1, IMAG), 3)  # fails already at n = 2
+    # a T-valued w z^k with w != 1 fails already at n = 2
+    for check in (solve_square_equation, lambda f: check_power_equation(f, 3)):
+        with pytest.raises(NotASolution, match=r"^f\(z\^2\) != f\(z\)\^2$"):
+            check(_char(1, IMAG))
 
 
 def test_winding_number():
