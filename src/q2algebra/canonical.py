@@ -220,8 +220,6 @@ def window_matrix(op, lo: int, hi: int, phi: float | None = None) -> WindowMatri
     diagonal unitary e_k -> e^(i phi k) e_k for an arbitrary float phase phi.
     They exist only at window level: none of them belongs to the exact span.
     """
-    if lo > hi:
-        raise ValueError("window requires lo <= hi")
     if isinstance(op, Element):
         return _element_window(op, lo, hi)
     cols = np.arange(lo, hi + 1, dtype=np.int64)

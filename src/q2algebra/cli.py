@@ -59,6 +59,15 @@ class _CliError(Exception):
         self.code = code
 
 
+def _from_text(convert, text: str, *args):
+    """convert(text, *args), with a ValueError from the conversion reported as
+    a parse error (exit 2): the argument text is malformed."""
+    try:
+        return convert(text, *args)
+    except ValueError as exc:
+        raise _CliError(str(exc), 2) from None
+
+
 def _parse_window(spec: str) -> tuple[int, int]:
     try:
         lo_text, hi_text = spec.split(":")
@@ -76,11 +85,13 @@ def _parse_morphism(label: str) -> Endomorphism:
     if name == "gauge":
         params = (_parse_scalar(arg or "1"),)
     elif name == "chi":
-        params = (int(arg),)
+        params = (_from_text(int, arg),)
     elif name == "beta":
         w_text, _, n_text = arg.rpartition(",")
-        params = (_parse_scalar(w_text or "1"), int(n_text))
+        params = (_parse_scalar(w_text or "1"), _from_text(int, n_text))
     elif name in ("flipflop", "shift", "adU"):
+        if arg:
+            raise _CliError(f"morphism {name} takes no parameter, got {label!r}", 2)
         params = ()
     else:
         raise _CliError(f"unknown morphism {label!r}", 2)
@@ -97,7 +108,7 @@ def _parse_scalar(text: str) -> DyadicCyclotomic:
 def _parse_bogoljubov_entry(text: str):
     if "," in text:
         re_text, im_text = text.split(",", 1)
-        return complex(float(re_text), float(im_text))
+        return complex(_from_text(float, re_text), _from_text(float, im_text))
     try:
         return _parse_scalar(text)
     except (_CliError, ParseError):
@@ -170,7 +181,7 @@ def _cmd_window(args) -> int:
     if op in ("P", "V"):
         win = window_matrix(op, lo, hi)
     elif op.startswith("Uz:"):
-        win = window_matrix("Uz", lo, hi, phi=float(parse_angle(op[3:])))
+        win = window_matrix("Uz", lo, hi, phi=_from_text(parse_angle, op[3:]))
     else:
         win = window_matrix(parse_element(op), lo, hi)
     _print_window(win, args.format)
@@ -210,7 +221,7 @@ def _load_grid(source: str, level: int) -> DyadicGridFunction:
     if source.startswith("@"):
         with open(source[1:], "r", encoding="utf-8") as handle:
             return DyadicGridFunction.from_json(handle.read())
-    return preset(source, level)
+    return _from_text(preset, source, level)
 
 
 def _cmd_cascade(args) -> int:

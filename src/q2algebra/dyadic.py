@@ -151,13 +151,11 @@ def two_adic_continuity(sampler, depth: int, tol: float = 1e-6) -> Continuous | 
         mod = 1 << m
         worst = 0.0
         worst_pair = (0, 0)
-        residues = np.mod(indices, mod)
         for r in range(mod):
-            mask = residues == r
-            vals = values[mask]
-            idxs = indices[mask]
-            if vals.size < 2:
-                continue
+            # the radius is a multiple of mod, so slice r is the class k = r
+            # (mod 2^m), in ascending order and with at least 8 points
+            vals = values[r::mod]
+            idxs = indices[r::mod]
             gaps = np.abs(vals[None, :] - vals[:, None])
             pos = np.unravel_index(np.argmax(gaps), gaps.shape)
             if gaps[pos] > worst:
@@ -165,12 +163,10 @@ def two_adic_continuity(sampler, depth: int, tol: float = 1e-6) -> Continuous | 
                 worst_pair = (int(idxs[pos[0]]), int(idxs[pos[1]]))
         oscs.append(worst)
         witnesses.append(worst_pair)
-    non_increasing = all(oscs[i + 1] <= oscs[i] + 1e-12 for i in range(len(oscs) - 1))
-    if oscs[-1] < tol and non_increasing:
+    rises = [i for i in range(1, depth) if oscs[i] > oscs[i - 1] + 1e-12]
+    if oscs[-1] < tol and not rises:
         return Continuous(depth=depth, oscillations=tuple(oscs))
-    bad = len(oscs) - 1 if oscs[-1] >= tol else next(
-        i + 1 for i in range(len(oscs) - 1) if oscs[i + 1] > oscs[i] + 1e-12
-    )
+    bad = depth - 1 if oscs[-1] >= tol else rises[0]
     j, k = witnesses[bad]
     return Obstructed(
         depth=depth,

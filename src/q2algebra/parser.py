@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebra import Element, Monomial, from_generator, scalar as scalar_element
-from .scalars import DyadicCyclotomic, cyclo
+from .scalars import DyadicCyclotomic, _frac_str, _signed_sum, cyclo
 
 __all__ = ["ParseError", "parse_element", "print_element"]
 
@@ -233,7 +233,7 @@ def _coef_text(c: DyadicCyclotomic, standalone: bool) -> tuple[bool, str]:
         q = abs(q)
         if q == 1 and not standalone:
             return neg, ""
-        return neg, str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+        return neg, _frac_str(q)
     if len(c._terms) == 1:
         [q] = c._terms.values()
         return q < 0, str(-c if q < 0 else c)
@@ -251,8 +251,4 @@ def print_element(x: Element) -> str:
         neg, ctext = _coef_text(coef, standalone=not body)
         text = f"{ctext} {body}".strip() if ctext else body
         chunks.append((neg, text))
-    neg0, text0 = chunks[0]
-    out = ("-" if neg0 else "") + text0
-    for neg, text in chunks[1:]:
-        out += (" - " if neg else " + ") + text
-    return out
+    return _signed_sum(chunks)

@@ -219,11 +219,7 @@ class DyadicCyclotomic:
                 parts.append((c < 0, root))
             else:
                 parts.append((c < 0, f"{_frac_str(abs(c))} {root}"))
-        neg0, text = parts[0]
-        out = ("-" if neg0 else "") + text
-        for neg, text in parts[1:]:
-            out += (" - " if neg else " + ") + text
-        return out
+        return _signed_sum(parts)
 
     def __repr__(self):
         return f"DyadicCyclotomic({self.level}, {self.coords})"
@@ -290,6 +286,12 @@ def _exact(x) -> DyadicCyclotomic:
 
 def _frac_str(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+
+
+def _signed_sum(parts: list) -> str:
+    """Join (is_negative, text) parts as "a + b - c", a negative first part as "-a"."""
+    (neg, text), *rest = parts
+    return ("-" if neg else "") + text + "".join((" - " if n else " + ") + t for n, t in rest)
 
 
 def _zeta_str(order: int, exponent: int) -> str:

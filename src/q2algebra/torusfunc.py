@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .scalars import DyadicCyclotomic, ONE as SC_ONE, _exact, _power, _sum_terms
+from .scalars import ONE as SC_ONE, _exact, _power, _sum_terms
 
 __all__ = [
     "LaurentCircleFunction",
@@ -72,10 +72,6 @@ class LaurentCircleFunction:
     def __setattr__(self, name, value):
         raise AttributeError("LaurentCircleFunction is immutable")
 
-    @classmethod
-    def character(cls, n: int, w=SC_ONE) -> "LaurentCircleFunction":
-        return cls({n: w})
-
     def __eq__(self, other):
         if not isinstance(other, LaurentCircleFunction):
             return NotImplemented
@@ -111,14 +107,6 @@ class LaurentCircleFunction:
     def is_unimodular(self) -> bool:
         """Exact T-valued test: f * conj(f) = 1 as Laurent polynomials."""
         return (self * self.conj()).is_one()
-
-    def single_term(self) -> tuple[DyadicCyclotomic, int]:
-        """The (w, n) with f = w z^n; a T-valued Laurent polynomial always has
-        exactly one nonzero coefficient."""
-        if len(self.coeffs) != 1:
-            raise NotUnimodular("function is not a single circle monomial")
-        ((n, w),) = self.coeffs.items()
-        return w, n
 
     def sample(self, level: int) -> "DyadicGridFunction":
         size = 1 << level
@@ -159,9 +147,9 @@ class DyadicGridFunction:
     def max_modulus_defect(self) -> float:
         return float(np.abs(np.abs(self.values) - 1.0).max())
 
-    def require_unimodular(self, tol: float = 1e-9):
+    def require_unimodular(self):
         defect = self.max_modulus_defect()
-        if defect > tol:
+        if defect > 1e-9:
             raise NotUnimodular(f"samples leave the circle by {defect:.3g}")
 
     def conj_reflected(self) -> "DyadicGridFunction":
@@ -197,16 +185,16 @@ def check_power_equation(f: LaurentCircleFunction, n_max: int) -> int:
     """Verify f(z^n) = f(z)^n as polynomials for 2 <= n <= n_max; return the
     exponent k with f = z^k.
 
-    A T-valued f is w z^k, and w^n = w already fails at n = 2 unless w = 1.
+    A T-valued f is w z^k, and f(z^n) = f(z)^n holds iff w^(n-1) = 1: n = 2
+    forces w = 1, and w = 1 satisfies every n, so n = 2 decides them all.
     """
     if not f.is_unimodular():
         raise NotUnimodular("f is not T-valued")
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
-    for n in range(2, n_max + 1):
-        if f.compose_power(n) != f**n:
-            raise NotASolution(f"f(z^{n}) != f(z)^{n}")
-    w, k = f.single_term()
+    if f.compose_power(2) != f**2:
+        raise NotASolution("f(z^2) != f(z)^2")
+    ((k, w),) = f.coeffs.items()  # T-valued: exactly one term
     assert w.is_one()
     return k
 
@@ -257,9 +245,10 @@ def cascade_solve(psi: DyadicGridFunction) -> DyadicGridFunction:
 class OscillationReport:
     """Diameter of the stabilized dyadic-approach limits of h at each grid point.
 
-    For each odd |j| <= max_odd, the approach sequence h(p e^(2 pi i j / 2^m))
-    contributes its deepest sample when its last three samples agree within
-    stab_tol; osc[p] is the maximal pairwise distance between contributions.
+    For each odd |j| <= max_odd = min(63, 2^(level-3) - 1), the approach
+    sequence h(p e^(2 pi i j / 2^m)) contributes its deepest sample when its
+    last three samples agree within stab_tol = 1e-7; osc[p] is the maximal
+    pairwise distance between contributions.
     A drifting sequence (h continuous but not constant nearby) contributes
     nothing, so characters report oscillation 0.
     """
@@ -295,15 +284,11 @@ class OscillationReport:
         )
 
 
-def oscillation_report(
-    h: DyadicGridFunction, max_odd: int | None = None, stab_tol: float = 1e-7
-) -> OscillationReport:
+def oscillation_report(h: DyadicGridFunction) -> OscillationReport:
     if h.level < 5:
         raise ValueError("oscillation needs grid level >= 5")
-    if max_odd is None:
-        max_odd = min(63, (1 << (h.level - 3)) - 1)
-    if max_odd >= (1 << (h.level - 2)):
-        raise ValueError("max_odd too large for the grid level")
+    max_odd = min(63, (1 << (h.level - 3)) - 1)
+    stab_tol = 1e-7
     size = h.size
     values = h.values
     seqs = [j * sign for j in range(1, max_odd + 1, 2) for sign in (1, -1)]
@@ -323,27 +308,29 @@ def oscillation_report(
     return OscillationReport(level=h.level, osc=osc, max_odd=max_odd, stab_tol=stab_tol)
 
 
-def gauge_equiv_obstruction(f: DyadicGridFunction, **kwargs) -> OscillationReport:
+def _obstruction(f: DyadicGridFunction, factor) -> OscillationReport:
+    """The oscillation report of the cascade solution for Psi = f * factor."""
+    f.require_unimodular()
+    return oscillation_report(cascade_solve(DyadicGridFunction(f.level, f.values * factor)))
+
+
+def gauge_equiv_obstruction(f: DyadicGridFunction) -> OscillationReport:
     """Obstruction to beta^f being equivalent to a gauge automorphism.
 
     Equivalence needs a continuous solution of conj(h(z)) h(z^2) = f(z) conj(f(1));
     the cascade solves it on the grid and the report measures how far the
     solution is from having limits along dyadic approaches.
     """
-    f.require_unimodular()
-    psi = DyadicGridFunction(f.level, f.values * np.conj(f.values[0]))
-    return oscillation_report(cascade_solve(psi), **kwargs)
+    return _obstruction(f, np.conj(f.values[0]))
 
 
-def flipflop_commute_obstruction(f: DyadicGridFunction, **kwargs) -> OscillationReport:
+def flipflop_commute_obstruction(f: DyadicGridFunction) -> OscillationReport:
     """Obstruction to beta^f commuting with the flip-flop modulo inners.
 
     Commutation needs a continuous h with h(z) conj(h(z^2)) = f(conj z) conj(f(z)),
     i.e. h(z^2) = h(z) Psi(z) with Psi(z) = f(z) conj(f(conj z)).
     """
-    f.require_unimodular()
-    psi = DyadicGridFunction(f.level, f.values * f.conj_reflected().values)
-    return oscillation_report(cascade_solve(psi), **kwargs)
+    return _obstruction(f, f.conj_reflected().values)
 
 
 # -- presets --------------------------------------------------------------------------
@@ -370,24 +357,22 @@ def step_preset(level: int, eps: float = math.pi / 4) -> DyadicGridFunction:
     return DyadicGridFunction(level, values)
 
 
-def bump_preset(level: int, half_width: float = math.pi / 16) -> DyadicGridFunction:
+def bump_preset(level: int) -> DyadicGridFunction:
     """A bump equal to i at exp(9 pi i / 8) and 1 outside a small arc.
 
     The phase interpolates linearly (a tent through the arc from 1 up to i and
-    back); the default arc [9pi/8 - pi/16, 9pi/8 + pi/16] keeps all the dyadic
+    back); the arc [9pi/8 - pi/16, 9pi/8 + pi/16] keeps all the dyadic
     points 5pi/4, pi, 3pi/2 strictly outside.
     """
-    if not 0 < half_width <= math.pi / 8:
-        raise ValueError("half_width must be in (0, pi/8]")
     size = 1 << level
     theta = 2.0 * math.pi * np.arange(size) / size
     center = 9.0 * math.pi / 8.0
-    tent = np.maximum(0.0, 1.0 - np.abs(theta - center) / half_width)
+    tent = np.maximum(0.0, 1.0 - np.abs(theta - center) / (math.pi / 16))
     return DyadicGridFunction(level, np.exp(1j * (math.pi / 2.0) * tent))
 
 
 def char_preset(level: int, n: int, w=SC_ONE) -> DyadicGridFunction:
-    return LaurentCircleFunction.character(n, w).sample(level)
+    return LaurentCircleFunction({n: w}).sample(level)
 
 
 def preset(name: str, level: int) -> DyadicGridFunction:

@@ -205,3 +205,26 @@ def test_cli_large_powers(capsys):
     # a level-24 gauge parameter is a single stored coordinate
     assert main(["apply", "gauge:zeta(2^24)^3", "S2"]) == 0
     assert capsys.readouterr().out.strip() == "zeta(16777216)^3 S2"
+
+
+@pytest.mark.parametrize("argv", [
+    ["apply", "chi:x", "S2"],
+    ["apply", "beta:i", "S2"],
+    ["apply", "flipflop:junk", "S2"],
+    ["window", "Uz:1/7", "--window=0:3"],
+    ["cascade", "step:abc"],
+    ["cascade", "char:q"],
+    ["cascade", "nope"],
+    ["classify-bogoljubov", "1,x", "0", "0", "1"],
+])
+def test_cli_malformed_argument_text_is_a_parse_error(capsys, argv):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "ValueError" not in err
+
+
+def test_cli_engine_errors_on_labels_keep_exit_3(capsys):
+    assert main(["apply", "chi:4", "S2"]) == 3
+    assert "NotOdd" in capsys.readouterr().err
+    assert main(["apply", "gauge:2", "S2"]) == 3
+    assert "NotUnitary" in capsys.readouterr().err

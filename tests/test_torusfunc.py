@@ -51,6 +51,18 @@ def test_check_power_equation():
             check(_char(1, IMAG))
 
 
+def test_power_equation_is_decided_at_n_2(monkeypatch):
+    # f(z^n) = f(z)^n for w z^k holds iff w^(n-1) = 1, so n = 2 decides every n
+    calls = []
+    compose_power = LaurentCircleFunction.compose_power
+    monkeypatch.setattr(LaurentCircleFunction, "compose_power",
+                        lambda f, n: calls.append(n) or compose_power(f, n))
+    assert check_power_equation(LaurentCircleFunction({3: 1}), 1000) == 3
+    assert calls == [2]
+    with pytest.raises(NotASolution, match=r"^f\(z\^2\) != f\(z\)\^2$"):
+        check_power_equation(_char(1, IMAG), 1000)
+
+
 def test_winding_number():
     assert winding_number(char_preset(5, 4)) == 4
     assert winding_number(char_preset(4, 0)) == 0
