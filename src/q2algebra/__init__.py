@@ -77,7 +77,6 @@ from .morphisms import (
 )
 from .torusfunc import (
     DyadicGridFunction,
-    LaurentCircleFunction,
     NotASolution,
     NotNormalized,
     NotUnimodular,

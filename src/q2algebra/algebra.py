@@ -361,6 +361,11 @@ def equals(x: Element, y: Element) -> bool:
     return not _canonical((x - y)._terms)
 
 
+def _is_unitary(u: Element) -> bool:
+    ustar = u.adjoint()
+    return equals(ustar * u, ONE) and equals(u * ustar, ONE)
+
+
 # -- gauge grading and membership ----------------------------------------------------
 
 

@@ -26,7 +26,7 @@ import sys
 
 from .algebra import Element, Monomial, equals, membership, normalize_depth
 from .canonical import apply_basis, window_matrix
-from .expectations import E_CU, E_D2, E_diag_window, E_gauge, _laurent_of
+from .expectations import E_CU, E_D2, E_diag_window, E_gauge
 from .morphisms import (
     BogoljubovMatrix,
     Endomorphism,
@@ -47,7 +47,6 @@ from .torusfunc import (
     flipflop_commute_obstruction,
     gauge_equiv_obstruction,
     preset,
-    solve_square_equation,
 )
 
 __all__ = ["main"]
@@ -246,10 +245,7 @@ def _cmd_cascade(args) -> int:
 
 
 def _cmd_solve_feq(args) -> int:
-    f = _laurent_of(parse_element(args.expr))
-    if f is None:
-        raise _CliError("expression is not a Laurent polynomial in U", 3)
-    n = check_power_equation(f, args.power) if args.power else solve_square_equation(f)
+    n = check_power_equation(parse_element(args.expr), args.power or 2)
     print(json.dumps({"exponent": n}) if args.format == "json" else str(n))
     return 0
 

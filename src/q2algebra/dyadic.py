@@ -145,6 +145,9 @@ def two_adic_continuity(sampler, depth: int, tol: float = 1e-6) -> Continuous | 
     radius = 1 << (depth + 2)
     indices = np.arange(-radius, radius + 1)
     values = np.array([complex(sampler(int(k))) for k in indices])
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise ValueError(f"sampler is not finite at k = {indices[np.argmin(finite)]}")
     oscs = []
     witnesses = []
     for m in range(1, depth + 1):

@@ -11,7 +11,6 @@ from .algebra import (Element, GEN_S1, GEN_S1_STAR, Monomial, _MEMBER_TESTS, _el
                       gauge_component)
 from .canonical import fixed_points
 from .scalars import DyadicCyclotomic, _sum_terms
-from .torusfunc import LaurentCircleFunction
 
 __all__ = [
     "E_gauge",
@@ -49,12 +48,11 @@ def E_CU(x: Element) -> Element:
     )
 
 
-def _laurent_of(x: Element) -> LaurentCircleFunction | None:
-    """The Laurent polynomial f with x = f(U), or None if x is not in C*(U)."""
+def _laurent_of(x: Element) -> Element | None:
+    """x = f(U) in its U-power form E_CU(x), whose terms are the roots U^k,
+    or None if x is not in C*(U)."""
     cu = E_CU(x)
-    if not equals(cu, x):
-        return None
-    return LaurentCircleFunction({m.c: coef for m, coef in cu._terms.items()})
+    return cu if equals(cu, x) else None
 
 
 def E_D2(x: Element) -> Element:

@@ -24,6 +24,7 @@ from .algebra import (
     GEN_U_STAR,
     ONE,
     _element,
+    _is_unitary,
     coarsen,
     equals,
     membership,
@@ -31,7 +32,6 @@ from .algebra import (
 )
 from .expectations import _laurent_of
 from .scalars import DyadicCyclotomic, _as_scalar, _exact, _sum_terms
-from .torusfunc import LaurentCircleFunction
 
 __all__ = [
     "Endomorphism",
@@ -87,11 +87,6 @@ class NotInS2(ValueError):
 
 class NotUnitaryFunction(ValueError):
     """Reconstructed circle function is not T-valued."""
-
-
-def _is_unitary(u: Element) -> bool:
-    ustar = u.adjoint()
-    return equals(ustar * u, ONE) and equals(u * ustar, ONE)
 
 
 class Endomorphism:
@@ -371,13 +366,14 @@ def bogoljubov_classify(A: BogoljubovMatrix) -> Gauge | FlipFlopGauge | NotExten
 # -- structure of S2 images --------------------------------------------------------
 
 
-def decompose_S2_image(s: Element) -> LaurentCircleFunction:
+def decompose_S2_image(s: Element) -> Element:
     """Recover f with s = f(U) S2 from an isometry satisfying the S2 relations.
 
     s must be a valid image of S2 under an endomorphism fixing U; the
     Endomorphism relations decide this.  f(U) is reconstructed as
-    g = s S2* + U s S2* U* and returned as an exact T-valued Laurent
-    polynomial; g S2 = s holds for every s, because S2* U* S2 = S1* S2 = 0.
+    g = s S2* + U s S2* U* and returned as the unitary f(U) in its U-power
+    form (terms U^k only); g S2 = s holds for every s, because
+    S2* U* S2 = S1* S2 = 0.
     """
     try:
         Endomorphism(GEN_U, s)
@@ -386,6 +382,6 @@ def decompose_S2_image(s: Element) -> LaurentCircleFunction:
     f = _laurent_of(s * GEN_S2_STAR + GEN_U * s * GEN_S2_STAR * GEN_U_STAR)
     if f is None:
         raise NotInS2("reconstruction is not a function of U")
-    if not f.is_unimodular():
+    if not _is_unitary(f):
         raise NotUnitaryFunction("reconstructed function is not T-valued")
     return f

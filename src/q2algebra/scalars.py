@@ -334,8 +334,8 @@ def _sum_terms(pairs, into: dict | None = None) -> dict:
 def _power(base, n: int, one):
     """base^n for n >= 0 by square-and-multiply, `one` for n = 0.
 
-    The package's one powering loop (scalars, elements, circle functions,
-    endomorphism images); no squaring is done after the highest bit.
+    The package's one powering loop (scalars, elements, endomorphism
+    images); no squaring is done after the highest bit.
     """
     out = None
     while n:

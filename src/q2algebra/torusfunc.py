@@ -1,5 +1,6 @@
-"""Functions on the unit circle: exact Laurent polynomials, dyadic-grid
-samples, the doubling functional equations, and the obstruction detectors.
+"""Functions on the unit circle: circle functions as elements f(U) of C*(U),
+dyadic-grid samples, the doubling functional equations, and the obstruction
+detectors.
 
 The central tool is the cascade: on the grid of 2^N-th roots of unity the
 equation h(z^2) = h(z) Psi(z) with h(1) = 1 is solved exactly by the product
@@ -20,10 +21,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .scalars import ONE as SC_ONE, _exact, _power, _sum_terms
+from .algebra import Element, Monomial, _element, _is_unitary, equals
+from .expectations import _laurent_of
+from .scalars import ONE as SC_ONE, _exact
 
 __all__ = [
-    "LaurentCircleFunction",
     "DyadicGridFunction",
     "NotASolution",
     "NotUnimodular",
@@ -61,72 +63,6 @@ class Undersampled(ValueError):
     """Grid too coarse for a stable winding number."""
 
 
-class LaurentCircleFunction:
-    """Exact Laurent polynomial on the circle, exponent -> coefficient."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: dict):
-        object.__setattr__(self, "coeffs", _sum_terms((int(k), _exact(c)) for k, c in coeffs.items()))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LaurentCircleFunction is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, LaurentCircleFunction):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(tuple(sorted(self.coeffs.items(), key=lambda kv: kv[0])))
-
-    def __mul__(self, other):
-        if not isinstance(other, LaurentCircleFunction):
-            return NotImplemented
-        return LaurentCircleFunction(_sum_terms(
-            (k1 + k2, c1 * c2)
-            for k1, c1 in self.coeffs.items()
-            for k2, c2 in other.coeffs.items()
-        ))
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative powers of a Laurent polynomial are not defined")
-        return _power(self, n, LaurentCircleFunction({0: SC_ONE}))
-
-    def conj(self) -> "LaurentCircleFunction":
-        return LaurentCircleFunction({-k: c.conj() for k, c in self.coeffs.items()})
-
-    def compose_power(self, n: int) -> "LaurentCircleFunction":
-        """f(z^n)."""
-        return LaurentCircleFunction({n * k: c for k, c in self.coeffs.items()})
-
-    def is_one(self) -> bool:
-        return self.coeffs == {0: SC_ONE}
-
-    def is_unimodular(self) -> bool:
-        """Exact T-valued test: f * conj(f) = 1 as Laurent polynomials."""
-        return (self * self.conj()).is_one()
-
-    def sample(self, level: int) -> "DyadicGridFunction":
-        size = 1 << level
-        angles = 2.0 * math.pi * np.arange(size) / size
-        values = np.zeros(size, dtype=np.complex128)
-        for k, c in self.coeffs.items():
-            values += c.to_complex() * np.exp(1j * k * angles)
-        return DyadicGridFunction(level, values)
-
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for k in sorted(self.coeffs):
-            c = self.coeffs[k]
-            mono = "1" if k == 0 else ("z" if k == 1 else f"z^{k}")
-            parts.append(f"({c}) {mono}" if k != 0 else f"({c})")
-        return " + ".join(parts)
-
-
 @dataclass(frozen=True)
 class DyadicGridFunction:
     """Samples value[j] ~ f(exp(2*pi*i*j / 2^level)) on the dyadic grid."""
@@ -138,6 +74,10 @@ class DyadicGridFunction:
         values = np.asarray(self.values, dtype=np.complex128)
         if values.shape != (1 << self.level,):
             raise ValueError(f"level {self.level} grid needs {1 << self.level} samples")
+        finite = np.isfinite(values)
+        if not finite.all():
+            j = int(np.argmin(finite))
+            raise ValueError(f"sample {j} is not finite: {values[j]}")
         object.__setattr__(self, "values", values)
 
     @property
@@ -172,8 +112,8 @@ class DyadicGridFunction:
 # -- appendix functional equations ------------------------------------------------
 
 
-def solve_square_equation(f: LaurentCircleFunction) -> int:
-    """Solve f(z^2) = f(z)^2 for a T-valued Laurent polynomial: f must be z^n.
+def solve_square_equation(f: Element) -> int:
+    """Solve f(z^2) = f(z)^2 for a T-valued f(U) in C*(U): f must be z^n.
 
     T-valued forces f = w z^n; the equation then reads w z^2n = w^2 z^2n and
     pins w = 1.
@@ -181,22 +121,25 @@ def solve_square_equation(f: LaurentCircleFunction) -> int:
     return check_power_equation(f, 2)
 
 
-def check_power_equation(f: LaurentCircleFunction, n_max: int) -> int:
-    """Verify f(z^n) = f(z)^n as polynomials for 2 <= n <= n_max; return the
-    exponent k with f = z^k.
+def check_power_equation(f: Element, n_max: int) -> int:
+    """Verify f(z^n) = f(z)^n in C*(U) for 2 <= n <= n_max, where f(U) is
+    given as an Element; return the exponent k with f = z^k.
 
     A T-valued f is w z^k, and f(z^n) = f(z)^n holds iff w^(n-1) = 1: n = 2
     forces w = 1, and w = 1 satisfies every n, so n = 2 decides them all.
     """
-    if not f.is_unimodular():
-        raise NotUnimodular("f is not T-valued")
+    f = _laurent_of(f)
+    if f is None or not _is_unitary(f):
+        raise NotUnimodular("f is not a T-valued function of U")
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
-    if f.compose_power(2) != f**2:
+    # f(z^2): the U-power form re-keyed from U^c to U^2c
+    f_of_square = _element({Monomial(0, 0, 0, 2 * m.c): w for m, w in f._terms.items()})
+    if not equals(f_of_square, f**2):
         raise NotASolution("f(z^2) != f(z)^2")
-    ((k, w),) = f.coeffs.items()  # T-valued: exactly one term
+    ((root, w),) = f._terms.items()  # T-valued: exactly one term
     assert w.is_one()
-    return k
+    return root.c
 
 
 def winding_number(f: DyadicGridFunction) -> int:
@@ -372,7 +315,10 @@ def bump_preset(level: int) -> DyadicGridFunction:
 
 
 def char_preset(level: int, n: int, w=SC_ONE) -> DyadicGridFunction:
-    return LaurentCircleFunction({n: w}).sample(level)
+    """Samples of the character w z^n."""
+    size = 1 << level
+    angles = 2.0 * math.pi * np.arange(size) / size
+    return DyadicGridFunction(level, _exact(w).to_complex() * np.exp(1j * n * angles))
 
 
 def preset(name: str, level: int) -> DyadicGridFunction:
@@ -394,7 +340,10 @@ def parse_angle(text: str) -> float:
     text = text.strip()
     if "pi" in text:
         head, _, tail = text.partition("pi")
-        num = Fraction(head) if head else Fraction(1)
-        den = Fraction(tail.lstrip("/")) if tail else Fraction(1)
-        return float(num / den) * math.pi
+        try:
+            num = Fraction(head) if head else Fraction(1)
+            den = Fraction(tail.lstrip("/")) if tail else Fraction(1)
+            return float(num / den) * math.pi
+        except ZeroDivisionError:
+            raise ValueError(f"angle {text!r} divides by zero") from None
     return float(text)

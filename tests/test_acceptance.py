@@ -21,6 +21,7 @@ from q2algebra.algebra import (
     ONE,
     equals,
     membership,
+    monomial,
     normalize_depth,
     proj_Pn,
     proj_Qn,
@@ -51,7 +52,6 @@ from q2algebra.dyadic import RootOfUnity, build_Uz, check_Uz_relations, membersh
 from q2algebra.parser import ParseError, parse_element, print_element
 from q2algebra.scalars import IMAG, cyclo, rational
 from q2algebra.torusfunc import (
-    LaurentCircleFunction,
     NotASolution,
     bump_preset,
     cascade_solve,
@@ -263,8 +263,9 @@ def test_criterion_09_cascade_obstruction():
 
 def test_criterion_10_appendix_solver():
     t0 = time.perf_counter()
-    ok = all(solve_square_equation(LaurentCircleFunction({n: 1})) == n for n in range(-8, 9))
-    for bad in (LaurentCircleFunction({1: -1}), LaurentCircleFunction({1: cyclo(3, 1)})):
+    # the circle function w z^n is the element w U^n of C*(U)
+    ok = all(solve_square_equation(monomial(0, 0, 0, n)) == n for n in range(-8, 9))
+    for bad in (monomial(0, 0, 0, 1, -1), monomial(0, 0, 0, 1, cyclo(3, 1))):
         try:
             solve_square_equation(bad)
             ok = False

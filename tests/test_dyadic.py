@@ -140,6 +140,16 @@ def test_two_adic_continuity_edges():
         two_adic_continuity(lambda k: 1.0, 1)
 
 
+def test_two_adic_continuity_rejects_non_finite_samples():
+    # a NaN gap never beats the running maximum, so the classes holding NaN
+    # would drop out and the sampler would read as continuous
+    nan_near_zero = lambda k: float("nan") if abs(k) < 64 else 1.0
+    with pytest.raises(ValueError, match=r"not finite at k = -63$"):
+        two_adic_continuity(nan_near_zero, 4)
+    with pytest.raises(ValueError, match=r"not finite at k = 5$"):
+        two_adic_continuity(lambda k: complex("inf") if k == 5 else 1.0, 3)
+
+
 def test_lex_multiindex():
     assert multiindex_of_label(0, 2) == (2, 2)
     assert multiindex_of_label(1, 1) == (1,)

@@ -162,6 +162,10 @@ def test_cli_cascade_and_solve_feq(capsys):
     capsys.readouterr()
     assert main(["solve-feq", "U^-2", "--power", "5"]) == 0
     assert capsys.readouterr().out.strip() == "-2"
+    assert main(["solve-feq", "S2 S2* U^3 + U S2 S2* U* U^3"]) == 0  # U^3, no root term
+    assert capsys.readouterr().out == "3\n"
+    assert main(["solve-feq", "U + S2"]) == 3
+    assert capsys.readouterr().err == "error: NotUnimodular: f is not a T-valued function of U\n"
 
 
 def test_cli_expect_diag_and_json(capsys):
@@ -216,6 +220,9 @@ def test_cli_large_powers(capsys):
     ["cascade", "char:q"],
     ["cascade", "nope"],
     ["classify-bogoljubov", "1,x", "0", "0", "1"],
+    ["cascade", "step:pi/0", "--level", "8"],
+    ["cascade", "step:1/0pi", "--level", "8"],
+    ["window", "Uz:pi/0", "--window=0:3"],
 ])
 def test_cli_malformed_argument_text_is_a_parse_error(capsys, argv):
     assert main(argv) == 2

@@ -1,12 +1,14 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from q2algebra.algebra import (GEN_S2, GEN_S2_STAR, GEN_U, GEN_U_STAR, Element, Monomial,
+                               _is_unitary, monomial)
 from q2algebra.scalars import IMAG, ONE as SC_ONE, cyclo, rational
 from q2algebra.torusfunc import (
     DyadicGridFunction,
-    LaurentCircleFunction,
     NotASolution,
     NotNormalized,
     NotUnimodular,
@@ -23,10 +25,16 @@ from q2algebra.torusfunc import (
     winding_number,
 )
 
+U, Us = GEN_U, GEN_U_STAR
+S2, S2s = GEN_S2, GEN_S2_STAR
 
 
 def _char(n, w=SC_ONE):
-    return LaurentCircleFunction({n: w})
+    """w U^n, the circle function w z^n as an element of C*(U)."""
+    return monomial(0, 0, 0, n, w)
+
+
+ONE_PLUS_U = _char(0) + U  # 1 + z leaves the circle
 
 
 def test_solve_square_equation():
@@ -37,9 +45,21 @@ def test_solve_square_equation():
     with pytest.raises(NotASolution):
         solve_square_equation(_char(1, cyclo(3, 1)))  # f = w z, w != 1
     with pytest.raises(NotUnimodular):
-        solve_square_equation(LaurentCircleFunction({0: 1, 1: 1}))
+        solve_square_equation(ONE_PLUS_U)
     with pytest.raises(NotUnimodular):
         solve_square_equation(_char(2, rational(1, 2)))
+
+
+def test_power_equation_reads_any_term_map_of_f_of_U():
+    # U^3 written as S2 S2* U^3 + U S2 S2* U* U^3: no stored term is a root
+    f = S2 * S2s * U**3 + U * S2 * S2s * Us * U**3
+    assert all(m.a for m in f.terms)
+    assert solve_square_equation(f) == 3
+    assert check_power_equation(f, 7) == 3
+    # outside C*(U) fails like a function of U that is not T-valued
+    for outside in (U + S2, S2, S2 * S2s):
+        with pytest.raises(NotUnimodular, match=r"^f is not a T-valued function of U$"):
+            check_power_equation(outside, 2)
 
 
 def test_check_power_equation():
@@ -54,10 +74,9 @@ def test_check_power_equation():
 def test_power_equation_is_decided_at_n_2(monkeypatch):
     # f(z^n) = f(z)^n for w z^k holds iff w^(n-1) = 1, so n = 2 decides every n
     calls = []
-    compose_power = LaurentCircleFunction.compose_power
-    monkeypatch.setattr(LaurentCircleFunction, "compose_power",
-                        lambda f, n: calls.append(n) or compose_power(f, n))
-    assert check_power_equation(LaurentCircleFunction({3: 1}), 1000) == 3
+    power = Element.__pow__
+    monkeypatch.setattr(Element, "__pow__", lambda f, n: calls.append(n) or power(f, n))
+    assert check_power_equation(_char(3), 1000) == 3
     assert calls == [2]
     with pytest.raises(NotASolution, match=r"^f\(z\^2\) != f\(z\)\^2$"):
         check_power_equation(_char(1, IMAG), 1000)
@@ -76,15 +95,14 @@ def test_winding_number():
 def test_winding_number_additive(rng):
     for _ in range(10):
         n1, n2 = rng.randint(-4, 4), rng.randint(-4, 4)
-        f = (_char(n1) * _char(n2)).sample(8)
+        f = DyadicGridFunction(8, char_preset(8, n1).values * char_preset(8, n2).values)
         assert winding_number(f) == n1 + n2
         assert winding_number(char_preset(8, n1)) + winding_number(char_preset(8, n2)) == n1 + n2
 
 
 def test_solve_square_agrees_with_winding(rng):
     for n in range(-6, 7):
-        f = _char(n)
-        assert solve_square_equation(f) == winding_number(f.sample(8))
+        assert solve_square_equation(_char(n)) == winding_number(char_preset(8, n))
 
 
 def test_cascade_trivial_and_character():
@@ -198,12 +216,31 @@ def test_grid_json_round_trip():
 
 
 def test_laurent_unimodular_check():
-    assert _char(5, cyclo(4, 3)).is_unimodular()
-    assert not LaurentCircleFunction({0: 1, 1: 1}).is_unimodular()
-    mixed = LaurentCircleFunction({0: rational(3, 5), 1: 0}) * _char(0, rational(5, 3))
-    assert mixed.is_unimodular()
+    assert _is_unitary(_char(5, cyclo(4, 3)))
+    assert not _is_unitary(ONE_PLUS_U)
+    mixed = Element({Monomial(0, 0, 0, 0): rational(3, 5), Monomial(0, 0, 0, 1): 0})
+    assert _is_unitary(mixed * _char(0, rational(5, 3)))
 
 
 def test_laurent_negative_power_raises():
     with pytest.raises(ValueError):
-        LaurentCircleFunction({1: 1, 2: 1}) ** -1
+        (U + U**2) ** -1
+
+
+def test_char_preset_samples_w_z_n():
+    theta = 2.0 * math.pi * np.arange(64) / 64
+    for n, w in ((3, SC_ONE), (-2, IMAG), (0, cyclo(3, 1))):
+        expected = w.to_complex() * np.exp(1j * n * theta)
+        assert np.abs(char_preset(6, n, w).values - expected).max() < 1e-12
+
+
+def test_grid_rejects_non_finite_samples():
+    values = char_preset(8, 1).values.copy()
+    values[37] = np.nan
+    values[90] = np.inf
+    with pytest.raises(ValueError, match=r"^sample 37 is not finite"):
+        DyadicGridFunction(8, values)
+    # json writes and reads NaN, so a grid file can hold one
+    text = json.dumps({"level": 8, "values": [[v.real, v.imag] for v in values]})
+    with pytest.raises(ValueError, match=r"^sample 37 is not finite"):
+        DyadicGridFunction.from_json(text)
