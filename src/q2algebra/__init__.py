@@ -28,11 +28,9 @@ from .algebra import (
     proj_Qn,
 )
 from .canonical import (
-    AffineDyadicMap,
     WindowMatrix,
     apply_basis,
     conjugate_by_V,
-    map_of,
     window_matrix,
 )
 from .expectations import (
@@ -56,12 +54,10 @@ from .morphisms import (
     NotInS2,
     NotOdd,
     NotUnitary,
-    NotUnitaryFunction,
     RelationViolated,
     ad_unitary,
     beta_monomial,
     bogoljubov_classify,
-    builtin,
     check_extension,
     chi,
     compose,

@@ -11,7 +11,6 @@ the exact algebra.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,8 +18,6 @@ from .algebra import Element, Monomial
 from .scalars import DyadicCyclotomic, _sum_terms
 
 __all__ = [
-    "AffineDyadicMap",
-    "map_of",
     "apply_basis",
     "WindowMatrix",
     "window_matrix",
@@ -29,41 +26,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class AffineDyadicMap:
-    """Partial map i -> 2^slope_num_exp * (i + shift_in) / 2^modulus_exp + shift_out
-    defined on the residue class i = residue (mod 2^modulus_exp)."""
-
-    modulus_exp: int
-    residue: int
-    slope_num_exp: int
-    shift_in: int
-    shift_out: int
-
-    def defined_at(self, i: int) -> bool:
-        return i % (1 << self.modulus_exp) == self.residue
-
-    def __call__(self, i: int) -> int | None:
-        if not self.defined_at(i):
-            return None
-        return (((i + self.shift_in) >> self.modulus_exp) << self.slope_num_exp) + self.shift_out
-
-
-def map_of(m: Monomial) -> AffineDyadicMap:
-    """The partial affine dyadic map induced by a monomial on basis indices."""
-    return AffineDyadicMap(
-        modulus_exp=m.b,
-        residue=(-m.c) % (1 << m.b),
-        slope_num_exp=m.a,
-        shift_in=m.c,
-        shift_out=m.l,
-    )
+def _image(m: Monomial, i: int) -> int | None:
+    """j with m e_i = e_j: U^l S2^a (S2*)^b U^c sends i to 2^a (i + c) / 2^b + l
+    on the class i = -c (mod 2^b), and e_i to 0 (None) off it."""
+    if (i + m.c) % (1 << m.b):
+        return None
+    return (((i + m.c) >> m.b) << m.a) + m.l
 
 
 def apply_basis(x: Element, i: int) -> dict[int, DyadicCyclotomic]:
     """The vector x e_i as an exact index -> coefficient map."""
     return _sum_terms(
-        (j, coef) for mono, coef in x.terms.items() if (j := map_of(mono)(i)) is not None
+        (j, coef) for mono, coef in x._terms.items() if (j := _image(mono, i)) is not None
     )
 
 
@@ -73,32 +47,29 @@ def fixed_points(m: Monomial, lo: int, hi: int) -> list[int]:
     For a = b, c = -l the whole residue class is fixed; for a = b, c != -l
     nothing is; otherwise the affine map has at most one integer fixed point.
     """
-    fmap = map_of(m)
-    mod = 1 << m.b
     if m.a == m.b:
         if m.c != -m.l:
             return []
-        first = lo + ((fmap.residue - lo) % mod)
+        mod = 1 << m.b
+        first = lo + ((-m.c - lo) % mod)
         return list(range(first, hi + 1, mod))
     num = -((m.c << m.a) + (m.l << m.b))
     den = (1 << m.a) - (1 << m.b)
     if num % den:
         return []
     i = num // den
-    return [i] if lo <= i <= hi and fmap.defined_at(i) else []
+    return [i] if lo <= i <= hi and _image(m, i) is not None else []
 
 
 def displacement_bound(x: Element, lo: int, hi: int) -> int:
     """Max |j - i| over basis actions of x inside the window (0 for zero)."""
     bound = 0
-    for mono in x.terms:
-        fmap = map_of(mono)
+    for m in x._terms:
         for i in (lo, hi):
             # affine in i, so extremes occur at the window endpoints; j - i is
             # ((i + c) 2^a + (l - i) 2^b) / 2^b, floored exactly in integers
-            num = (((i + fmap.shift_in) << fmap.slope_num_exp)
-                   + ((fmap.shift_out - i) << fmap.modulus_exp))
-            bound = max(bound, (abs(num) >> fmap.modulus_exp) + 1)
+            num = ((i + m.c) << m.a) + ((m.l - i) << m.b)
+            bound = max(bound, (abs(num) >> m.b) + 1)
     return bound
 
 
@@ -134,9 +105,6 @@ class WindowMatrix:
     def entry(self, row: int, col: int) -> complex:
         mask = (self.rows == row) & (self.cols == col)
         return complex(self.vals[mask].sum())
-
-    def diagonal(self) -> np.ndarray:
-        return self.to_csr().diagonal()
 
     def max_abs_diff(self, other: "WindowMatrix", margin: int = 0) -> float:
         """Max entrywise |self - other| over the interior window shrunk by margin."""
@@ -184,22 +152,17 @@ def _element_window(x: Element, lo: int, hi: int) -> WindowMatrix:
     rows_all = []
     cols_all = []
     vals_all = []
-    for mono, coef in x.terms.items():
-        fmap = map_of(mono)
-        mod = 1 << fmap.modulus_exp
-        first = lo + ((fmap.residue - lo) % mod)
+    for m, coef in x._terms.items():
+        mod = 1 << m.b
+        first = lo + ((-m.c - lo) % mod)
         cols = np.arange(first, hi + 1, mod, dtype=np.int64)
         if cols.size == 0:
             continue
         # int64 fill is safe only while the affine images stay well under 2^62
-        extreme = max(
-            abs(((bound + fmap.shift_in) >> fmap.modulus_exp) << fmap.slope_num_exp)
-            + abs(fmap.shift_out)
-            for bound in (lo, hi)
-        )
+        extreme = max(abs(((bound + m.c) >> m.b) << m.a) + abs(m.l) for bound in (lo, hi))
         if extreme >= 1 << 62:
             raise OverflowError("window indices exceed the int64 fill range")
-        rows = (((cols + fmap.shift_in) >> fmap.modulus_exp) << fmap.slope_num_exp) + fmap.shift_out
+        rows = (((cols + m.c) >> m.b) << m.a) + m.l
         keep = (rows >= lo) & (rows <= hi)
         if not keep.any():
             continue

@@ -24,7 +24,7 @@ import argparse
 import json
 import sys
 
-from .algebra import Element, Monomial, equals, membership, normalize_depth
+from .algebra import GEN_U, Element, Monomial, equals, membership, normalize_depth
 from .canonical import apply_basis, window_matrix
 from .expectations import E_CU, E_D2, E_diag_window, E_gauge
 from .morphisms import (
@@ -33,8 +33,13 @@ from .morphisms import (
     FlipFlopGauge,
     Gauge,
     NotExtensible,
+    ad_unitary,
+    beta_monomial,
     bogoljubov_classify,
-    builtin,
+    chi,
+    flipflop,
+    gauge,
+    shift,
 )
 from .dyadic import build_Uz, check_Uz_relations
 from .parser import ParseError, parse_element, print_element
@@ -82,19 +87,18 @@ def _parse_morphism(label: str) -> Endomorphism:
     """Labels: gauge:SCALAR, flipflop, shift, chi:ODD, beta:SCALAR,N, adU."""
     name, _, arg = label.partition(":")
     if name == "gauge":
-        params = (_parse_scalar(arg or "1"),)
-    elif name == "chi":
-        params = (_from_text(int, arg),)
-    elif name == "beta":
+        return gauge(_parse_scalar(arg or "1"))
+    if name == "chi":
+        return chi(_from_text(int, arg))
+    if name == "beta":
         w_text, _, n_text = arg.rpartition(",")
-        params = (_parse_scalar(w_text or "1"), _from_text(int, n_text))
-    elif name in ("flipflop", "shift", "adU"):
-        if arg:
-            raise _CliError(f"morphism {name} takes no parameter, got {label!r}", 2)
-        params = ()
-    else:
+        return beta_monomial(_parse_scalar(w_text or "1"), _from_text(int, n_text))
+    nullary = {"flipflop": flipflop, "shift": shift, "adU": lambda: ad_unitary(GEN_U)}
+    if name not in nullary:
         raise _CliError(f"unknown morphism {label!r}", 2)
-    return builtin(name, *params)
+    if arg:
+        raise _CliError(f"morphism {name} takes no parameter, got {label!r}", 2)
+    return nullary[name]()
 
 
 def _parse_scalar(text: str) -> DyadicCyclotomic:

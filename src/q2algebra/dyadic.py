@@ -22,7 +22,6 @@ from .algebra import (
     GEN_U,
     Monomial,
     equals,
-    membership,
 )
 from .scalars import cyclo
 
@@ -101,15 +100,10 @@ def check_Uz_relations(n: int) -> bool:
 def membership_Uz(z: RootOfUnity) -> bool:
     """Whether U_z lies in the diagonal subalgebra: exactly the dyadic orders.
 
-    In the dyadic case the explicit element is cross-checked against the
-    diagonal membership predicate.
+    For order 2^n, U_z is a power of `build_Uz(n)`, a sum of diagonal terms
+    U^l S2^n (S2*)^n U^-l; for any other order it is not in the algebra.
     """
-    if not z.is_dyadic:
-        return False
-    n = z.order.bit_length() - 1
-    uz_pow = build_Uz(n)  # U_{zeta_{2^n}}; U_z is its exponent power
-    assert membership(uz_pow, "D2")
-    return True
+    return z.is_dyadic
 
 
 # -- 2-adic continuity ---------------------------------------------------------------

@@ -40,7 +40,6 @@ __all__ = [
     "NotUnitary",
     "ExtensionConditionFailed",
     "NotInS2",
-    "NotUnitaryFunction",
     "compose",
     "gauge",
     "flipflop",
@@ -48,7 +47,6 @@ __all__ = [
     "chi",
     "beta_monomial",
     "ad_unitary",
-    "builtin",
     "u_of",
     "W_of",
     "is_beta",
@@ -85,10 +83,6 @@ class NotInS2(ValueError):
     """The element does not satisfy the S2-image relations."""
 
 
-class NotUnitaryFunction(ValueError):
-    """Reconstructed circle function is not T-valued."""
-
-
 class Endomorphism:
     """Unital *-endomorphism of Q2, stored by the images of U and S2.
 
@@ -98,9 +92,9 @@ class Endomorphism:
     per term.
     """
 
-    __slots__ = ("img_U", "img_S2", "label", "_image_power")
+    __slots__ = ("img_U", "img_S2", "_image_power")
 
-    def __init__(self, img_U: Element, img_S2: Element, label: str | None = None):
+    def __init__(self, img_U: Element, img_S2: Element):
         # keep images in merged form so that iterated composition stays small
         img_U = coarsen(img_U)
         img_S2 = coarsen(img_S2)
@@ -118,7 +112,6 @@ class Endomorphism:
         images = {"U": img_U, "S2": img_S2, "S2*": img_S2_star}
         object.__setattr__(self, "img_U", img_U)
         object.__setattr__(self, "img_S2", img_S2)
-        object.__setattr__(self, "label", label)
         # (name, n) -> image of name^n; only U takes n < 0, through img_U*
         object.__setattr__(self, "_image_power", cache(
             lambda name, n: images[name] ** n if n >= 0 else img_U_star ** -n))
@@ -145,14 +138,12 @@ class Endomorphism:
         return equals(self.img_U, GEN_U) and equals(self.img_S2, GEN_S2)
 
     def __repr__(self):
-        return f"Endomorphism({self.label or 'anonymous'})"
+        return f"Endomorphism({self.img_U!r}, {self.img_S2!r})"
 
 
-def compose(e1: Endomorphism, e2: Endomorphism, label: str | None = None) -> Endomorphism:
+def compose(e1: Endomorphism, e2: Endomorphism) -> Endomorphism:
     """e1 after e2, validated again on construction."""
-    if label is None and e1.label and e2.label:
-        label = f"{e1.label}.{e2.label}"
-    return Endomorphism(e1(e2.img_U), e1(e2.img_S2), label)
+    return Endomorphism(e1(e2.img_U), e1(e2.img_S2))
 
 
 def agree_on_generators(e1: Endomorphism, e2: Endomorphism) -> bool:
@@ -167,12 +158,12 @@ def gauge(z: DyadicCyclotomic) -> Endomorphism:
     z = _exact(z)
     if not z.is_unimodular():
         raise NotUnitary(f"gauge parameter {z} is not unimodular")
-    return Endomorphism(GEN_U, GEN_S2.scale(z), label=f"gauge:{z}")
+    return Endomorphism(GEN_U, GEN_S2.scale(z))
 
 
 def flipflop() -> Endomorphism:
     """The order-two automorphism with U -> U*, S2 -> U S2 (swaps S1 and S2)."""
-    return Endomorphism(GEN_U_STAR, GEN_S1, label="flipflop")
+    return Endomorphism(GEN_U_STAR, GEN_S1)
 
 
 def _phi(x: Element) -> Element:
@@ -181,14 +172,14 @@ def _phi(x: Element) -> Element:
 
 def shift() -> Endomorphism:
     """The canonical shift x -> U S2 x S2* U* + S2 x S2*; sends U to U^2."""
-    return Endomorphism(_phi(GEN_U), _phi(GEN_S2), label="shift")
+    return Endomorphism(_phi(GEN_U), _phi(GEN_S2))
 
 
 def chi(odd: int) -> Endomorphism:
     """The endomorphism fixing S2 with U -> U^odd, for odd integers only."""
     if odd % 2 == 0:
         raise NotOdd(f"chi needs an odd integer, got {odd}")
-    return Endomorphism(monomial(0, 0, 0, odd), GEN_S2, label=f"chi:{odd}")
+    return Endomorphism(monomial(0, 0, 0, odd), GEN_S2)
 
 
 def beta_monomial(w: DyadicCyclotomic, n: int) -> Endomorphism:
@@ -196,7 +187,7 @@ def beta_monomial(w: DyadicCyclotomic, n: int) -> Endomorphism:
     w = _exact(w)
     if not w.is_unimodular():
         raise NotUnitary(f"beta coefficient {w} is not unimodular")
-    return Endomorphism(GEN_U, monomial(0, 0, 0, n, w) * GEN_S2, label=f"beta:{w},{n}")
+    return Endomorphism(GEN_U, monomial(0, 0, 0, n, w) * GEN_S2)
 
 
 def ad_unitary(u: Element) -> Endomorphism:
@@ -204,24 +195,7 @@ def ad_unitary(u: Element) -> Endomorphism:
     if not _is_unitary(u):
         raise NotUnitary("ad requires a unitary element")
     ustar = u.adjoint()
-    return Endomorphism(u * GEN_U * ustar, u * GEN_S2 * ustar, label="ad")
-
-
-def builtin(name: str, *params) -> Endomorphism:
-    """Named morphisms: gauge(z), flipflop, shift, chi(odd), beta(w, n), adU."""
-    if name == "gauge":
-        return gauge(*params)
-    if name == "flipflop":
-        return flipflop()
-    if name == "shift":
-        return shift()
-    if name == "chi":
-        return chi(*params)
-    if name == "beta":
-        return beta_monomial(*params)
-    if name == "adU":
-        return ad_unitary(GEN_U)
-    raise ValueError(f"unknown builtin morphism {name!r}")
+    return Endomorphism(u * GEN_U * ustar, u * GEN_S2 * ustar)
 
 
 # -- generalized Cuntz-Takesaki data -------------------------------------------
@@ -269,7 +243,7 @@ def check_extension(data: ExtensionData) -> Endomorphism:
     rhs = GEN_U * W * GEN_U * GEN_S2
     if not equals(lhs, rhs):
         raise ExtensionConditionFailed("S2 V U W V* = U W U S2 fails")
-    return Endomorphism(V * GEN_U * W * V.adjoint(), V * GEN_S2, label="extension")
+    return Endomorphism(V * GEN_U * W * V.adjoint(), V * GEN_S2)
 
 
 def compose_extension_data(d1: ExtensionData, d2: ExtensionData) -> ExtensionData:
@@ -373,7 +347,9 @@ def decompose_S2_image(s: Element) -> Element:
     Endomorphism relations decide this.  f(U) is reconstructed as
     g = s S2* + U s S2* U* and returned as the unitary f(U) in its U-power
     form (terms U^k only); g S2 = s holds for every s, because
-    S2* U* S2 = S1* S2 = 0.
+    S2* U* S2 = S1* S2 = 0.  That identity and its adjoint also leave
+    g g* = s s* + U s s* U* = 1 (the range relation), so f is unitary
+    whenever it exists.
     """
     try:
         Endomorphism(GEN_U, s)
@@ -382,6 +358,4 @@ def decompose_S2_image(s: Element) -> Element:
     f = _laurent_of(s * GEN_S2_STAR + GEN_U * s * GEN_S2_STAR * GEN_U_STAR)
     if f is None:
         raise NotInS2("reconstruction is not a function of U")
-    if not _is_unitary(f):
-        raise NotUnitaryFunction("reconstructed function is not T-valued")
     return f

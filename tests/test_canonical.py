@@ -18,10 +18,10 @@ from q2algebra.algebra import (
     equals,
 )
 from q2algebra.canonical import (
+    _image,
     apply_basis,
     conjugate_by_V,
     displacement_bound,
-    map_of,
     window_matrix,
 )
 from q2algebra.scalars import rational
@@ -31,17 +31,14 @@ from conftest import rand_element, rand_monomial, window_verdict
 U, S1, S2, S2s = GEN_U, GEN_S1, GEN_S2, GEN_S2_STAR
 
 
-def test_map_of_examples():
-    f = map_of(Monomial(0, 1, 0, 0))  # S2
-    assert f.modulus_exp == 0
+def test_image_examples():
+    s2 = Monomial(0, 1, 0, 0)
+    u = Monomial(0, 0, 0, 1)
+    s1_s2s = Monomial(1, 1, 1, 0)  # S1 S2*: evens, i -> i+1
     for i in range(-10, 10):
-        assert f(i) == 2 * i
-    g = map_of(Monomial(0, 0, 0, 1))  # U
-    for i in range(-10, 10):
-        assert g(i) == i + 1
-    h = map_of(Monomial(1, 1, 1, 0))  # S1 S2*: evens, i -> i+1
-    for i in range(-10, 10):
-        assert h(i) == (i + 1 if i % 2 == 0 else None)
+        assert _image(s2, i) == 2 * i
+        assert _image(u, i) == i + 1
+        assert _image(s1_s2s, i) == (i + 1 if i % 2 == 0 else None)
 
 
 def test_apply_basis_examples():
@@ -51,17 +48,23 @@ def test_apply_basis_examples():
         assert apply_basis(ONE, i) == {i: rational(1)}
 
 
-def test_apply_basis_respects_map_of(rng):
+def test_apply_basis_respects_image(rng):
+    # the exact basis action, the index map and the float window fill agree
+    lo, hi = -300, 300
     for _ in range(40):
         m = rand_monomial(rng)
-        f = map_of(m)
+        x = Element([(m, 1)])
+        dense = window_matrix(x, lo, hi).to_dense()
         for _ in range(100):
-            i = rng.randint(-300, 300)
-            vec = apply_basis(
-                __import__("q2algebra.algebra", fromlist=["Element"]).Element([(m, 1)]), i
-            )
-            j = f(i)
+            i = rng.randint(lo, hi)
+            vec = apply_basis(x, i)
+            j = _image(m, i)
             assert vec == ({j: rational(1)} if j is not None else {})
+            column = np.zeros(hi - lo + 1, dtype=np.complex128)
+            for k, coef in vec.items():
+                if lo <= k <= hi:
+                    column[k - lo] = coef.to_complex()
+            assert np.array_equal(dense[:, i - lo], column)
 
 
 def test_window_matrix_named_operators():

@@ -2,6 +2,7 @@ import cmath
 
 import pytest
 
+from q2algebra import dyadic
 from q2algebra.algebra import (
     GEN_S2,
     GEN_U,
@@ -99,13 +100,23 @@ def test_ad_Uz_order():
         assert power.fixes_generators()
 
 
-def test_membership_Uz():
+def test_membership_Uz(monkeypatch):
     for order in (1, 2, 4, 8, 16):
         assert membership_Uz(RootOfUnity(order))
     for order in (3, 6, 12):
         assert not membership_Uz(RootOfUnity(order))
     assert membership_Uz(RootOfUnity(1, 0))
+    # the explicit U_z at a dyadic order is diagonal, a diagonal times U is not
+    for n in range(7):
+        assert membership(build_Uz(n), "D2")
     assert not membership(build_Uz(2) * U, "D2")
+
+    # the verdict needs no element: at order 2^64 U_z would have 2^64 terms
+    def refuse(n):
+        raise AssertionError(f"build_Uz({n}) called")
+
+    monkeypatch.setattr(dyadic, "build_Uz", refuse)
+    assert membership_Uz(RootOfUnity(2**64, 3)) is True
 
 
 def test_root_of_unity_reduction():

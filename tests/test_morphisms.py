@@ -12,6 +12,7 @@ from q2algebra.algebra import (
     GEN_U_STAR,
     Monomial,
     ONE,
+    _is_unitary,
     equals,
     membership,
     scalar,
@@ -33,7 +34,6 @@ from q2algebra.morphisms import (
     agree_on_generators,
     beta_monomial,
     bogoljubov_classify,
-    builtin,
     check_extension,
     chi,
     compose,
@@ -58,6 +58,7 @@ S1s, S2s = GEN_S1_STAR, GEN_S2_STAR
 def test_make_endo_identity_and_flipflop():
     ident = Endomorphism(U, S2)
     assert ident.fixes_generators()
+    assert repr(ident) == f"Endomorphism({U!r}, {S2!r})"
     ff = Endomorphism(Us, U * S2)
     assert equals(ff(S1), S2)
     assert equals(ff(S2), S1)
@@ -101,10 +102,10 @@ def test_apply_is_homomorphic(rng):
 
 def test_builtin_examples():
     assert equals(chi(3)(S1), U**3 * S2)
-    adu = builtin("adU")
+    adu = ad_unitary(U)
     assert equals(adu(S1), S2)
     assert equals(adu(S2), S1 * Us)
-    assert agree_on_generators(builtin("beta", 1, 0), Endomorphism(U, S2))
+    assert agree_on_generators(beta_monomial(1, 0), Endomorphism(U, S2))
     with pytest.raises(NotOdd):
         chi(4)
     with pytest.raises(NotUnitary):
@@ -264,23 +265,29 @@ def test_bogoljubov_case_table():
         bogoljubov_classify(BogoljubovMatrix(1, 1, 0, 1))
 
 
-def _root_terms(f):
-    """The terms of f(U) in its U-power form, as exponent -> coefficient."""
+def _decomposed_terms(s):
+    """decompose_S2_image(s) as exponent -> coefficient of its U-power form,
+    checked to be a unitary f(U)."""
+    f = decompose_S2_image(s)
     assert all(m.l == m.a == m.b == 0 for m in f.terms)
+    assert _is_unitary(f)
     return {m.c: coef for m, coef in f.terms.items()}
 
 
 def test_decompose_S2_image():
-    assert _root_terms(decompose_S2_image(S2)) == {0: 1}
+    assert _decomposed_terms(S2) == {0: 1}
     w = cyclo(3, 3)
     s = (U**2 * S2).scale(w)
-    assert _root_terms(decompose_S2_image(s)) == {2: w}
-    assert _root_terms(decompose_S2_image(U * S2)) == {1: 1}
+    assert _decomposed_terms(s) == {2: w}
+    assert _decomposed_terms(U * S2) == {1: 1}
     endo = beta_monomial(IMAG, -1)
-    assert _root_terms(decompose_S2_image(endo(S2))) == {-1: IMAG}
+    assert _decomposed_terms(endo(S2)) == {-1: IMAG}
     # s written with non-root terms: U S2 = S2 S2* U S2 + U S2 S2* U* U S2
     s = S2 * S2s * U * S2 + U * S2 * S2s * Us * U * S2
-    assert _root_terms(decompose_S2_image(s)) == {1: 1}
+    assert _decomposed_terms(s) == {1: 1}
+    for n in range(-3, 4):
+        w = cyclo(2, n % 4)
+        assert _decomposed_terms(beta_monomial(w, n).img_S2) == {n: w}
     with pytest.raises(NotInS2):
         decompose_S2_image(S1 * S1s)  # not an isometry
     with pytest.raises(NotInS2):

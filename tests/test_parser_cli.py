@@ -4,8 +4,18 @@ import random
 import pytest
 
 from q2algebra.algebra import GEN_S2, GEN_U, ONE, equals
-from q2algebra.cli import main
+from q2algebra.cli import _parse_morphism, main
+from q2algebra.morphisms import (
+    ad_unitary,
+    agree_on_generators,
+    beta_monomial,
+    chi,
+    flipflop,
+    gauge,
+    shift,
+)
 from q2algebra.parser import ParseError, parse_element, print_element
+from q2algebra.scalars import IMAG, cyclo
 
 from conftest import rand_element
 
@@ -104,6 +114,22 @@ def test_cli_apply_labels(capsys):
     assert capsys.readouterr().out.strip() == "U^2"
     assert main(["apply", "adU", "S1"]) == 0
     assert capsys.readouterr().out.strip() == "S2"
+    # each CLI name is its constructor; bare gauge is gauge(1), beta:N is beta(1, N)
+    for label, endo in [
+        ("gauge", gauge(1)),
+        ("gauge:zeta(8)^3", gauge(cyclo(3, 3))),
+        ("chi:5", chi(5)),
+        ("beta:i,1", beta_monomial(IMAG, 1)),
+        ("beta:3", beta_monomial(1, 3)),
+        ("flipflop", flipflop()),
+        ("shift", shift()),
+        ("adU", ad_unitary(GEN_U)),
+    ]:
+        assert agree_on_generators(_parse_morphism(label), endo), label
+    # spellings that were never CLI names
+    for label in ("ad", "extension", "builtin"):
+        assert main(["apply", label, "S2"]) == 2
+        assert f"unknown morphism {label!r}" in capsys.readouterr().err
 
 
 def test_cli_window_and_eval(capsys):
