@@ -40,7 +40,6 @@ from .expectations import (
     E_gauge,
     F_map,
     NotGaugeInvariant,
-    NotStabilized,
     s1_limit,
 )
 from .morphisms import (
@@ -78,7 +77,6 @@ from .torusfunc import (
     NotUnimodular,
     Undersampled,
     cascade_solve,
-    check_power_equation,
     flipflop_commute_obstruction,
     gauge_equiv_obstruction,
     oscillation_report,

@@ -404,11 +404,14 @@ def membership(x: Element, sub: str) -> bool:
 
 
 def proj_Pn(n: int) -> Element:
-    """P_n = S1^n S2 S2* (S1*)^n, the projection onto {i = 2^n - 1 mod 2^(n+1)}."""
+    """P_n = S1^n S2 S2* (S1*)^n, the projection onto {i = 2^n - 1 mod 2^(n+1)}.
+
+    S1^n = U^(2^n - 1) S2^n, so P_n is the single monomial
+    U^(2^n - 1) S2^(n+1) S2*^(n+1) U^(1 - 2^n).
+    """
     if n < 0:
         raise ValueError("n must be non-negative")
-    s1n = GEN_S1**n
-    return s1n * GEN_S2 * GEN_S2_STAR * s1n.adjoint()
+    return monomial((1 << n) - 1, n + 1, n + 1, 1 - (1 << n))
 
 
 def proj_Qn(n: int) -> Element:

@@ -9,7 +9,8 @@
     q2 classify-bogoljubov A B C D      extensibility of a 2x2 unitary
     q2 uz N [--window LO:HI]            the diagonal unitary at zeta_{2^N}
     q2 cascade PRESET --level N ...     functional-equation solver / obstructions
-    q2 solve-feq EXPR [--power NMAX]    the appendix equations f(z^2)=f(z)^2 etc.
+    q2 solve-feq EXPR [--power N]       k with f = z^k solving f(z^n) = f(z)^n for
+                                        n = 2..N; N >= 2, and n = 2 decides every N
     q2 member {CU,D2,F2,O2,QT} X        span membership (exit 0 / 1)
 
 Exit codes: 0 success/EQUAL, 1 DIFFERENT/obstructed/non-member, 2 parse
@@ -47,11 +48,11 @@ from .scalars import DyadicCyclotomic
 from .torusfunc import (
     DyadicGridFunction,
     cascade_solve,
-    check_power_equation,
     parse_angle,
     flipflop_commute_obstruction,
     gauge_equiv_obstruction,
     preset,
+    solve_square_equation,
 )
 
 __all__ = ["main"]
@@ -249,7 +250,10 @@ def _cmd_cascade(args) -> int:
 
 
 def _cmd_solve_feq(args) -> int:
-    n = check_power_equation(parse_element(args.expr), args.power or 2)
+    # n = 2 decides f(z^n) = f(z)^n for every n, so N is only range-checked
+    if args.power < 2:
+        raise _CliError(f"--power needs N >= 2, got {args.power}", 2)
+    n = solve_square_equation(parse_element(args.expr))
     print(json.dumps({"exponent": n}) if args.format == "json" else str(n))
     return 0
 
@@ -315,7 +319,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("solve-feq", _cmd_solve_feq, help="appendix functional equations")
     p.add_argument("expr")
-    p.add_argument("--power", type=int, default=None)
+    p.add_argument("--power", type=int, default=2)
 
     p = add("member", _cmd_member, help="span membership")
     p.add_argument("sub", choices=("CU", "D2", "F2", "O2", "QT"))

@@ -61,12 +61,6 @@ class RootOfUnity:
     def is_dyadic(self) -> bool:
         return self.order & (self.order - 1) == 0
 
-    def to_complex(self) -> complex:
-        return complex(
-            math.cos(2 * math.pi * self.exponent / self.order),
-            math.sin(2 * math.pi * self.exponent / self.order),
-        )
-
 
 def build_Uz(n: int) -> Element:
     """U_z for z = zeta_{2^n}, as the exact sum over residue projections.
@@ -126,12 +120,15 @@ class Obstructed:
     witness: tuple[int, int, int, float]
 
 
-def two_adic_continuity(sampler, depth: int, tol: float = 1e-6) -> Continuous | Obstructed:
+_CONTINUITY_TOL = 1e-6
+
+
+def two_adic_continuity(sampler, depth: int) -> Continuous | Obstructed:
     """Classify whether k -> sampler(k) extends continuously to the 2-adic integers.
 
     For each m <= depth, osc_m is the largest |f(j) - f(k)| over sampled pairs
     with j = k (mod 2^m) and |j|, |k| <= 2^(depth+2).  Continuity at this depth
-    means osc_depth < tol with a non-increasing profile; this is a finite-depth
+    means osc_depth < 1e-6 with a non-increasing profile; this is a finite-depth
     witness, not a proof, and the classification carries the depth used.
     """
     if depth < 2:
@@ -161,9 +158,9 @@ def two_adic_continuity(sampler, depth: int, tol: float = 1e-6) -> Continuous | 
         oscs.append(worst)
         witnesses.append(worst_pair)
     rises = [i for i in range(1, depth) if oscs[i] > oscs[i - 1] + 1e-12]
-    if oscs[-1] < tol and not rises:
+    if oscs[-1] < _CONTINUITY_TOL and not rises:
         return Continuous(depth=depth, oscillations=tuple(oscs))
-    bad = depth - 1 if oscs[-1] >= tol else rises[0]
+    bad = depth - 1 if oscs[-1] >= _CONTINUITY_TOL else rises[0]
     j, k = witnesses[bad]
     return Obstructed(
         depth=depth,

@@ -1,6 +1,6 @@
 """Conditional expectations onto the gauge-invariant part, C*(U) and the
 diagonal, the windowed l-infinity diagonal, the gauge-Fourier coefficient
-maps, and the stabilizing S1-compression limit.  The monomial rules for the
+maps, and the S1-compression limit.  The monomial rules for the
 gauge-invariant part and the diagonal are algebra's; none is copied here."""
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from fractions import Fraction
 from .algebra import (Element, GEN_S1, GEN_S1_STAR, Monomial, _MEMBER_TESTS, _element, equals,
                       gauge_component)
 from .canonical import fixed_points
-from .scalars import DyadicCyclotomic, _sum_terms
+from .scalars import ZERO, DyadicCyclotomic, _sum_terms
 
 __all__ = [
     "E_gauge",
@@ -20,19 +20,11 @@ __all__ = [
     "F_map",
     "s1_limit",
     "NotGaugeInvariant",
-    "NotStabilized",
 ]
 
 
 class NotGaugeInvariant(ValueError):
     """Input has a term of nonzero gauge degree where invariance is required."""
-
-
-class NotStabilized(RuntimeError):
-    """The S1-compression iteration failed to reach a scalar within its bound.
-
-    The stabilization lemma rules this out on valid input; seeing it means a bug.
-    """
 
 
 def E_gauge(x: Element) -> Element:
@@ -88,20 +80,12 @@ def F_map(x: Element, i: int) -> Element:
 def s1_limit(x: Element) -> DyadicCyclotomic:
     """The scalar that the sequence (S1*)^m x S1^m stabilizes to.
 
-    Defined for gauge-invariant x only; stabilization is guaranteed within
-    depth + max|c| + 2 steps.
+    Defined for gauge-invariant x only.  S1 e_-1 = e_-1, so the limit is the
+    diagonal entry (e_-1, x e_-1): once m >= a and 2^m > |c + l|, the term
+    U^l S2^a S2*^a U^c survives m compressions iff c = -l and l = 2^a - 1,
+    which is exactly when it fixes e_-1.
     """
     for mono in x.terms:
         if not _MEMBER_TESTS["QT"](mono):
             raise NotGaugeInvariant(f"term {tuple(mono)} has gauge degree {mono.degree()}")
-    bound = x.depth + max((abs(m.c) for m in x.terms), default=0) + 2
-    y = x
-    for _ in range(bound + 1):
-        y_next = GEN_S1_STAR * y * GEN_S1
-        if equals(y_next, y):
-            value = y.scalar_part()
-            if value is None:
-                raise NotStabilized("iteration reached a non-scalar fixed point")
-            return value
-        y = y_next
-    raise NotStabilized(f"no scalar fixed point within {bound + 1} compressions")
+    return E_diag_window(x, -1, -1).get(-1, ZERO)

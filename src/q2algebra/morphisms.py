@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from itertools import product
 
 from .algebra import (
     Element,
@@ -29,6 +30,7 @@ from .algebra import (
     equals,
     membership,
     monomial,
+    monomial_of_pair,
 )
 from .expectations import _laurent_of
 from .scalars import DyadicCyclotomic, _as_scalar, _exact, _sum_terms
@@ -256,14 +258,9 @@ def compose_extension_data(d1: ExtensionData, d2: ExtensionData) -> ExtensionDat
 
 
 def flip_theta() -> Element:
-    """The self-adjoint unitary flip theta = sum_{i,j} S_i S_j S_i* S_j*."""
-    gens = (GEN_S1, GEN_S2)
-    out = None
-    for si in gens:
-        for sj in gens:
-            term = si * sj * si.adjoint() * sj.adjoint()
-            out = term if out is None else out + term
-    return out
+    """The self-adjoint unitary flip theta = sum_{i,j} S_i S_j S_i* S_j*,
+    whose terms are S_mu S_nu* with nu the reverse of mu."""
+    return Element((monomial_of_pair(mu, mu[::-1]), 1) for mu in product((1, 2), repeat=2))
 
 
 # -- Bogoljubov classification -----------------------------------------------------
@@ -318,14 +315,18 @@ def bogoljubov_classify(A: BogoljubovMatrix) -> Gauge | FlipFlopGauge | NotExten
     Only the gauge automorphisms (diagonal with equal entries), the flip-flop
     composed with a gauge (antidiagonal with equal entries) and nothing else.
     """
-    a, b, c, d = (complex(v) for v in A.entries())
-    mat = ((a, b), (c, d))
-    for i in range(2):
-        for j in range(2):
-            dot = sum(mat[i][k] * mat[j][k].conjugate() for k in range(2))
-            if abs(dot - (1 if i == j else 0)) > _TOL:
-                raise NotUnitary("matrix is not unitary within 1e-12")
     exact = A.is_exact()
+    if exact:
+        a, b, c, d = (_as_scalar(v) for v in A.entries())
+        conj = DyadicCyclotomic.conj
+    else:
+        a, b, c, d = (complex(v) for v in A.entries())
+        conj = complex.conjugate
+    # orthonormal rows: decided exactly for exact entries, within 1e-12 for floats
+    defects = (a * conj(a) + b * conj(b) - 1, c * conj(c) + d * conj(d) - 1,
+               a * conj(c) + b * conj(d))
+    if not all(_entry_eq(v, 0, exact) for v in defects):
+        raise NotUnitary("matrix is not unitary" + ("" if exact else " within 1e-12"))
     if _entry_eq(A.b, 0, exact) and _entry_eq(A.c, 0, exact):
         if _entry_eq(A.a, A.d, exact):
             return Gauge(A.a)

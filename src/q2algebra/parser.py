@@ -34,6 +34,7 @@ class ParseError(ValueError):
 
 
 _PUNCT = set("*^+-()/")
+_DIGITS = set("0123456789")  # str.isdigit also accepts "²" and "٣"
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -46,9 +47,9 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
         if ch.isspace():
             pos += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             start = pos
-            while pos < n and text[pos].isdigit():
+            while pos < n and text[pos] in _DIGITS:
                 pos += 1
             out.append(("NUM", text[start:pos], start))
             continue

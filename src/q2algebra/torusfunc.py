@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import Element, Monomial, _element, _is_unitary, equals
+from .algebra import Element
 from .expectations import _laurent_of
 from .scalars import ONE as SC_ONE, _exact
 
@@ -32,7 +32,6 @@ __all__ = [
     "NotNormalized",
     "Undersampled",
     "solve_square_equation",
-    "check_power_equation",
     "winding_number",
     "cascade_solve",
     "OscillationReport",
@@ -113,32 +112,20 @@ class DyadicGridFunction:
 
 
 def solve_square_equation(f: Element) -> int:
-    """Solve f(z^2) = f(z)^2 for a T-valued f(U) in C*(U): f must be z^n.
+    """Solve f(z^n) = f(z)^n (every n >= 2) for a T-valued f(U) in C*(U), given
+    as any Element; return the exponent k with f = z^k.
 
-    T-valued forces f = w z^n; the equation then reads w z^2n = w^2 z^2n and
-    pins w = 1.
-    """
-    return check_power_equation(f, 2)
-
-
-def check_power_equation(f: Element, n_max: int) -> int:
-    """Verify f(z^n) = f(z)^n in C*(U) for 2 <= n <= n_max, where f(U) is
-    given as an Element; return the exponent k with f = z^k.
-
-    A T-valued f is w z^k, and f(z^n) = f(z)^n holds iff w^(n-1) = 1: n = 2
-    forces w = 1, and w = 1 satisfies every n, so n = 2 decides them all.
+    A T-valued Laurent polynomial is a unit of the Laurent ring, so it is one
+    term w z^k with |w| = 1, and f(z^n) = f(z)^n reads w z^nk = w^n z^nk:
+    it holds iff w^(n-1) = 1, for every n iff w = 1.
     """
     f = _laurent_of(f)
-    if f is None or not _is_unitary(f):
+    terms = list(f._terms.items()) if f is not None else []
+    if len(terms) != 1 or not terms[0][1].is_unimodular():
         raise NotUnimodular("f is not a T-valued function of U")
-    if n_max < 2:
-        raise ValueError("n_max must be at least 2")
-    # f(z^2): the U-power form re-keyed from U^c to U^2c
-    f_of_square = _element({Monomial(0, 0, 0, 2 * m.c): w for m, w in f._terms.items()})
-    if not equals(f_of_square, f**2):
+    ((root, w),) = terms
+    if not w.is_one():
         raise NotASolution("f(z^2) != f(z)^2")
-    ((root, w),) = f._terms.items()  # T-valued: exactly one term
-    assert w.is_one()
     return root.c
 
 

@@ -286,6 +286,10 @@ def test_gauge_component():
 
 def test_projection_family():
     assert proj_Pn(0).terms == {Monomial(0, 1, 1, 0): rational(1)}
+    # the closed-form monomial is the product S1^n S2 S2* (S1*)^n term for term
+    for n in range(11):
+        s1n = S1**n
+        assert proj_Pn(n).terms == (s1n * S2 * S2s * s1n.adjoint()).terms
     assert (proj_Pn(1) * proj_Pn(2)).is_zero()
     for n in range(4):
         p = proj_Pn(n)

@@ -132,7 +132,7 @@ def test_two_adic_continuity_on_roots():
     # z^k extends to Z_2 continuously iff z is a dyadic root; all orders <= 16
     for order in range(1, 17):
         z = cmath.exp(2j * cmath.pi / order)
-        res = two_adic_continuity(lambda k, z=z: z**k, depth=5, tol=1e-6)
+        res = two_adic_continuity(lambda k, z=z: z**k, depth=5)
         if order & (order - 1) == 0:
             assert isinstance(res, Continuous), order
         else:

@@ -28,9 +28,10 @@ from q2algebra.expectations import (
     s1_limit,
 )
 from q2algebra.morphisms import shift
-from q2algebra.scalars import rational
+from q2algebra.dyadic import build_Uz
+from q2algebra.scalars import cyclo, rational
 
-from conftest import rand_element, rand_monomial
+from conftest import rand_element, rand_monomial, rand_scalar
 
 U, Us = GEN_U, GEN_U_STAR
 S1, S2 = GEN_S1, GEN_S2
@@ -186,16 +187,39 @@ def test_s1_limit_requires_gauge_invariance():
         s1_limit(S2)
 
 
+def _compressed(x):
+    """(S1*)^m x S1^m by hand, for m past the stabilization bound."""
+    m = x.depth + max((abs(t.c) for t in x.terms), default=0) + 2
+    for _ in range(m):
+        x = S1s * x * S1
+    return x
+
+
 def test_s1_limit_on_random_gauge_invariant(rng):
     for _ in range(15):
         x = E_gauge(rand_element(rng))
-        value = s1_limit(x)
         # the limit is reproduced by compressing far enough by hand
-        m = x.depth + max((abs(t.c) for t in x.terms), default=0) + 2
-        y = x
-        for _ in range(m):
-            y = S1s * y * S1
-        assert equals(y, scalar(value))
+        assert equals(_compressed(x), scalar(s1_limit(x)))
+
+
+def test_s1_limit_on_the_minus_one_class(rng):
+    # U^l S2^a S2*^a U^-l with l = 2^a - 1 is the projection onto i = -1 mod 2^a,
+    # the only terms whose compressions survive
+    hits = 0
+    for _ in range(40):
+        depth = rng.randint(0, 6)
+        x = E_gauge(rand_element(rng, nterms=3, max_depth=depth))
+        for a in rng.sample(range(depth + 1), rng.randint(1, depth + 1)):
+            l = (1 << a) - 1
+            x = x + Element([(Monomial(l, a, a, -l), rand_scalar(rng))])
+        value = s1_limit(x)
+        hits += not value.is_zero()
+        assert equals(_compressed(x), scalar(value))
+    assert hits > 30
+    for n in range(9):
+        uz = build_Uz(n)  # z^k at e_k, so z^-1 at e_-1
+        assert s1_limit(uz) == cyclo(n, -1)
+        assert equals(_compressed(uz), scalar(cyclo(n, -1)))
 
 
 def test_shift_images_commute_with_length_k_f2(rng):

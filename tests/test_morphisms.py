@@ -214,6 +214,10 @@ def test_check_extension_examples():
     assert ident.fixes_generators()
 
     theta = flip_theta()
+    # the closed form is sum_{i,j} S_i S_j S_i* S_j* term for term
+    gens = (S1, S2)
+    terms = [si * sj * si.adjoint() * sj.adjoint() for si in gens for sj in gens]
+    assert theta.terms == sum(terms[1:], terms[0]).terms
     assert equals(theta, theta.adjoint())
     assert equals(theta * theta, ONE)
     assert membership(theta, "F2")
@@ -263,6 +267,19 @@ def test_bogoljubov_case_table():
     assert isinstance(got, Gauge)
     with pytest.raises(NotUnitary):
         bogoljubov_classify(BogoljubovMatrix(1, 1, 0, 1))
+
+
+def test_bogoljubov_decides_exact_entries_exactly():
+    # 1 + 2^-50 is within 1e-12 of the circle but not on it, as gauge() knows
+    z = 1 + Fraction(1, 1 << 50)
+    with pytest.raises(NotUnitary):
+        gauge(z)
+    for entries in ((z, 0, 0, z), (0, z, z, 0), (1, Fraction(1, 1 << 50), 0, 1)):
+        with pytest.raises(NotUnitary, match=r"^matrix is not unitary$"):
+            bogoljubov_classify(BogoljubovMatrix(*entries))
+    # exact unitary rows with nonzero cross terms: (3/5 4/5; -4/5 3/5)
+    r = (Fraction(3, 5), Fraction(4, 5), Fraction(-4, 5), Fraction(3, 5))
+    assert isinstance(bogoljubov_classify(BogoljubovMatrix(*r)), NotExtensible)
 
 
 def _decomposed_terms(s):

@@ -46,6 +46,16 @@ def test_parse_errors():
             parse_element(bad)
 
 
+@pytest.mark.parametrize("text", ["U^\u00b2", "U^\u0663", "\u0663 U"])
+def test_only_ascii_digits_are_numbers(capsys, text):
+    # "²" and Arabic-Indic digits pass str.isdigit; neither is a number here
+    with pytest.raises(ParseError):
+        parse_element(text)
+    assert main(["normalize", text]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: parse error") and "ValueError" not in err
+
+
 def test_print_parse_round_trip(rng):
     for _ in range(200):
         x = rand_element(rng)
@@ -160,6 +170,10 @@ def test_cli_classify_and_uz(capsys):
     assert main(["classify-bogoljubov", "--", "0.7071067811865476,0", "0.7071067811865476,0",
                  "0.7071067811865476,0", "-0.7071067811865476,0"]) == 1
     assert capsys.readouterr().out.strip() == "NotExtensible"
+    # 1 + 2^-50 is within 1e-12 of the circle, but exact entries are decided exactly
+    z = "1 + 1/1125899906842624"
+    assert main(["classify-bogoljubov", z, "0", "0", z]) == 3
+    assert capsys.readouterr().err == "error: NotUnitary: matrix is not unitary\n"
     assert main(["uz", "1"]) == 0
     assert capsys.readouterr().out.strip() == "S2 S2* - U S2 S2* U*"
 
@@ -192,6 +206,27 @@ def test_cli_cascade_and_solve_feq(capsys):
     assert capsys.readouterr().out == "3\n"
     assert main(["solve-feq", "U + S2"]) == 3
     assert capsys.readouterr().err == "error: NotUnimodular: f is not a T-valued function of U\n"
+
+
+@pytest.mark.parametrize("power", [None, "2", "3", "4", "5", "6", "100000000"])
+def test_cli_solve_feq_power_at_least_2_is_accepted(capsys, power):
+    # n = 2 decides every power equation, so N changes no answer
+    extra = [] if power is None else ["--power", power]
+    assert main(["solve-feq", "U^-7", *extra]) == 0
+    assert capsys.readouterr().out == "-7\n"
+    assert main(["solve-feq", "i U", *extra]) == 3
+    assert capsys.readouterr().err == "error: NotASolution: f(z^2) != f(z)^2\n"
+
+
+@pytest.mark.parametrize("power", ["1", "0", "-3"])
+def test_cli_solve_feq_power_below_2_is_a_parse_error(capsys, power):
+    # N is checked before the expression is read
+    for expr in ("U^3", "U + S2", "S2 ^"):
+        assert main(["solve-feq", expr, "--power", power]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: --power needs N >= 2, got {power}\n"
+    assert main(["solve-feq", "U^3", "--power", power, "--format", "json"]) == 2
+    assert json.loads(capsys.readouterr().err)["code"] == 2
 
 
 def test_cli_expect_diag_and_json(capsys):

@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from q2algebra.algebra import (GEN_S2, GEN_S2_STAR, GEN_U, GEN_U_STAR, Element, Monomial,
-                               _is_unitary, monomial)
+from q2algebra.algebra import (GEN_S2, GEN_S2_STAR, GEN_U, GEN_U_STAR, ZERO, Element, Monomial,
+                               _is_unitary, equals, monomial, normalize_depth)
+from q2algebra.expectations import E_CU
 from q2algebra.scalars import IMAG, ONE as SC_ONE, cyclo, rational
 from q2algebra.torusfunc import (
     DyadicGridFunction,
@@ -16,7 +17,6 @@ from q2algebra.torusfunc import (
     bump_preset,
     cascade_solve,
     char_preset,
-    check_power_equation,
     flipflop_commute_obstruction,
     gauge_equiv_obstruction,
     preset,
@@ -24,6 +24,8 @@ from q2algebra.torusfunc import (
     step_preset,
     winding_number,
 )
+
+from conftest import rand_element, rand_scalar, rand_unimodular
 
 U, Us = GEN_U, GEN_U_STAR
 S2, S2s = GEN_S2, GEN_S2_STAR
@@ -44,6 +46,8 @@ def test_solve_square_equation():
         solve_square_equation(_char(1, rational(-1)))  # f = -z
     with pytest.raises(NotASolution):
         solve_square_equation(_char(1, cyclo(3, 1)))  # f = w z, w != 1
+    with pytest.raises(NotASolution, match=r"^f\(z\^2\) != f\(z\)\^2$"):
+        solve_square_equation(_char(1, IMAG))
     with pytest.raises(NotUnimodular):
         solve_square_equation(ONE_PLUS_U)
     with pytest.raises(NotUnimodular):
@@ -55,31 +59,59 @@ def test_power_equation_reads_any_term_map_of_f_of_U():
     f = S2 * S2s * U**3 + U * S2 * S2s * Us * U**3
     assert all(m.a for m in f.terms)
     assert solve_square_equation(f) == 3
-    assert check_power_equation(f, 7) == 3
     # outside C*(U) fails like a function of U that is not T-valued
     for outside in (U + S2, S2, S2 * S2s):
         with pytest.raises(NotUnimodular, match=r"^f is not a T-valued function of U$"):
-            check_power_equation(outside, 2)
-
-
-def test_check_power_equation():
-    assert check_power_equation(_char(-2), 5) == -2
-    assert check_power_equation(_char(0), 4) == 0
-    # a T-valued w z^k with w != 1 fails already at n = 2
-    for check in (solve_square_equation, lambda f: check_power_equation(f, 3)):
-        with pytest.raises(NotASolution, match=r"^f\(z\^2\) != f\(z\)\^2$"):
-            check(_char(1, IMAG))
+            solve_square_equation(outside)
 
 
 def test_power_equation_is_decided_at_n_2(monkeypatch):
-    # f(z^n) = f(z)^n for w z^k holds iff w^(n-1) = 1, so n = 2 decides every n
+    # f(z^n) = f(z)^n for w z^k holds iff w^(n-1) = 1, so w = 1 decides every n,
+    # read off the one term of f without multiplying
     calls = []
     power = Element.__pow__
     monkeypatch.setattr(Element, "__pow__", lambda f, n: calls.append(n) or power(f, n))
-    assert check_power_equation(_char(3), 1000) == 3
-    assert calls == [2]
+    assert solve_square_equation(_char(3)) == 3
     with pytest.raises(NotASolution, match=r"^f\(z\^2\) != f\(z\)\^2$"):
-        check_power_equation(_char(1, IMAG), 1000)
+        solve_square_equation(_char(1, IMAG))
+    assert calls == []
+
+
+def _power_equation_reference(f):
+    """The definitional check: f in C*(U) unitary, then f(z^2) == f(z)^2 by
+    Element arithmetic; returns k with f = z^k."""
+    cu = E_CU(f)
+    if not equals(cu, f) or not _is_unitary(cu):
+        raise NotUnimodular("f is not a T-valued function of U")
+    f_of_square = Element((Monomial(0, 0, 0, 2 * m.c), w) for m, w in cu.terms.items())
+    if not equals(f_of_square, cu**2):
+        raise NotASolution("f(z^2) != f(z)^2")
+    ((root, _),) = cu.terms.items()
+    return root.c
+
+
+def _outcome(solve, f):
+    try:
+        return solve(f)
+    except (NotUnimodular, NotASolution) as exc:
+        return type(exc), str(exc)
+
+
+def test_power_equation_matches_definition(rng):
+    roots = [_char(k, rand_unimodular(rng)) for k in range(-6, 7) for _ in range(3)]
+    roots += [_char(k) for k in range(-6, 7)]
+    # the same functions of U through term maps with no root term
+    refined = [normalize_depth(f, rng.randint(1, 3)) for f in roots[::4]]
+    not_t_valued = [ONE_PLUS_U, _char(2, rational(1, 2)), U - Us, ZERO,
+                    _char(1) + _char(1, rational(1, 1 << 40))]
+    not_t_valued += [Element((Monomial(0, 0, 0, c), rand_scalar(rng)) for c in (-1, 2))
+                     for _ in range(10)]
+    outside = [rand_element(rng) for _ in range(30)] + [U + S2, S2 * S2s, U * S2s]
+    cases = roots + refined + not_t_valued + outside
+    outcomes = [_outcome(solve_square_equation, f) for f in cases]
+    assert outcomes == [_outcome(_power_equation_reference, f) for f in cases]
+    assert {type(o) for o in outcomes} == {int, tuple}  # both verdicts occur
+    assert any(o == (NotASolution, "f(z^2) != f(z)^2") for o in outcomes)
 
 
 def test_winding_number():
