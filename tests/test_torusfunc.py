@@ -65,6 +65,17 @@ def test_power_equation_reads_any_term_map_of_f_of_U():
             solve_square_equation(outside)
 
 
+def test_check_power_equation():
+    # the root k read off at n = 2 solves f(z^n) = f(z)^n at the larger n too
+    for k, n in ((-2, 5), (0, 4)):
+        f = _char(k)
+        assert solve_square_equation(f) == k
+        assert equals(_char(n * k), f**n)
+    # a T-valued w z^k with w != 1 fails already at n = 2
+    with pytest.raises(NotASolution, match=r"^f\(z\^2\) != f\(z\)\^2$"):
+        solve_square_equation(_char(1, IMAG))
+
+
 def test_power_equation_is_decided_at_n_2(monkeypatch):
     # f(z^n) = f(z)^n for w z^k holds iff w^(n-1) = 1, so w = 1 decides every n,
     # read off the one term of f without multiplying
