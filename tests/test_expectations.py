@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from q2algebra import expectations
 from q2algebra.algebra import (
+    BudgetExceeded,
     Element,
     GEN_S1,
     GEN_S1_STAR,
@@ -24,6 +26,7 @@ from q2algebra.expectations import (
     E_diag_window,
     E_gauge,
     F_map,
+    MAX_DIAG_WINDOW,
     NotGaugeInvariant,
     s1_limit,
 )
@@ -79,6 +82,24 @@ def test_E_diag_window_examples():
     # S2^2 U acts by i -> 4(i+1) with no integer fixed point at all
     assert E_diag_window(S2 * U, -8, 8) == {-2: rational(1)}
     assert E_diag_window(S2 * S2 * U, -8, 8) == {}
+
+
+def test_diag_window_is_bounded_before_anything_is_built(monkeypatch):
+    assert MAX_DIAG_WINDOW == 1 << 20
+    assert not issubclass(BudgetExceeded, ValueError)  # the CLI keeps it at exit 3
+    lo = -(MAX_DIAG_WINDOW // 2)
+    hi = lo + MAX_DIAG_WINDOW - 1
+    x = S2**12 * S2s**12  # fixes the class 0 mod 2^12, so 256 entries at the bound
+    assert E_diag_window(x, lo, hi) == {i: rational(1) for i in range(lo, hi + 1, 1 << 12)}
+    with pytest.raises(BudgetExceeded, match="1048577 indices is over the bound of 1048576"):
+        E_diag_window(x, lo, hi + 1)
+
+    def no_fixed_points(*args):
+        raise AssertionError("a window over the bound must not be filled")
+
+    monkeypatch.setattr(expectations, "fixed_points", no_fixed_points)
+    with pytest.raises(BudgetExceeded):
+        E_diag_window(ONE, -10**8, 10**8)
 
 
 def test_diag_window_matches_window_matrix(rng):

@@ -1,7 +1,12 @@
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
+
+import q2algebra
 
 from q2algebra.algebra import GEN_S2, GEN_U, ONE, equals
 from q2algebra.cli import _parse_morphism, main
@@ -296,3 +301,86 @@ def test_cli_engine_errors_on_labels_keep_exit_3(capsys):
     assert "NotOdd" in capsys.readouterr().err
     assert main(["apply", "gauge:2", "S2"]) == 3
     assert "NotUnitary" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["cascade", "step:pi/4", "--level", "30"], "grid level 30 is over the bound of 18"),
+    (["cascade", "bump:i@9pi/8", "--level", "19", "--check", "flipflop"],
+     "grid level 19 is over the bound of 18"),
+    (["expect", "diag", "1", "--window=-524288:524288"],
+     "diagonal window of 1048577 indices is over the bound of 1048576"),
+])
+def test_cli_over_a_size_bound_exits_3(capsys, argv, message):
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: BudgetExceeded: {message}\n"  # one line, no traceback
+
+
+def test_cli_at_a_size_bound_keeps_its_output(capsys):
+    assert main(["cascade", "char:1", "--level", "18"]) == 0
+    assert capsys.readouterr().out == "solved cascade at level 18; h(1) = 1+0j\n"
+    assert main(["expect", "diag", "S2^12 S2*^12", "--window=-524288:524287"]) == 0
+    expected = ", ".join(f"{i}: 1" for i in range(-524288, 524288, 1 << 12))
+    assert capsys.readouterr().out == expected + "\n"
+
+
+_IN_FRESH_INTERPRETER = """
+import contextlib, io, json, sys
+import q2algebra, q2algebra.cli
+loaded = ["numpy" in sys.modules]
+runs = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        runs.append([q2algebra.cli.main(argv), out.getvalue()])
+    loaded.append("numpy" in sys.modules)
+print(json.dumps({"runs": runs, "numpy_loaded": loaded}))
+"""
+
+
+def _run_fresh(argvs):
+    """Run each argv through cli.main in one new interpreter, which (unlike this
+    test session) has not imported numpy yet."""
+    src = os.path.dirname(os.path.dirname(q2algebra.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-c", _IN_FRESH_INTERPRETER, json.dumps(argvs)],
+                          env=env, capture_output=True, text=True, timeout=120, check=True)
+    return json.loads(proc.stdout)
+
+
+def test_exact_subcommands_load_no_numpy():
+    argvs = [
+        ["eq", "S1", "U S2"],
+        ["normalize", "U", "--depth", "2"],
+        ["apply", "flipflop", "S1"],
+        ["expect", "gauge", "2 + S2 S2*"],
+        ["expect", "CU", "S2^3 S2*^3"],
+        ["expect", "D2", "S2 S2* + S2"],
+        ["expect", "diag", "S2 S2*", "--window=-4:4"],
+        ["member", "O2", "U"],
+        ["eval", "S2", "--basis", "3"],
+        ["uz", "3"],
+        ["classify-bogoljubov", "zeta(8)", "0", "0", "zeta(8)"],
+        ["solve-feq", "U^3"],
+    ]
+    result = _run_fresh(argvs)
+    assert result["numpy_loaded"] == [False] * (len(argvs) + 1)
+    assert [code for code, _ in result["runs"]] == [0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0]
+    assert result["runs"][0][1] == "EQUAL\n"
+    assert result["runs"][-1][1] == "3\n"
+
+
+def test_numpy_subcommands_load_it_on_demand(capsys):
+    argvs = [
+        ["window", "S2", "--window=-2:2"],
+        ["uz", "2", "--window=-2:2"],
+        ["cascade", "step:pi/4", "--level", "8", "--check", "gauge"],
+    ]
+    result = _run_fresh(argvs)
+    assert result["numpy_loaded"] == [False, True, True, True]
+    assert [code for code, _ in result["runs"]] == [0, 0, 1]
+    assert result["runs"][2][1] == "oscillation at z=1: 2; max: 2; OBSTRUCTED\n"
+    for argv, (code, out) in zip(argvs, result["runs"]):
+        assert main(argv) == code
+        assert capsys.readouterr().out == out  # the same as with numpy loaded up front

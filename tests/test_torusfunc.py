@@ -4,11 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from q2algebra.algebra import (GEN_S2, GEN_S2_STAR, GEN_U, GEN_U_STAR, ZERO, Element, Monomial,
-                               _is_unitary, equals, monomial, normalize_depth)
+from q2algebra.algebra import (GEN_S2, GEN_S2_STAR, GEN_U, GEN_U_STAR, ZERO, BudgetExceeded, Element,
+                               Monomial, _is_unitary, equals, monomial, normalize_depth)
 from q2algebra.expectations import E_CU
 from q2algebra.scalars import IMAG, ONE as SC_ONE, cyclo, rational
 from q2algebra.torusfunc import (
+    MAX_PRESET_LEVEL,
     DyadicGridFunction,
     NotASolution,
     NotNormalized,
@@ -249,6 +250,23 @@ def test_presets_by_name():
     assert np.allclose(preset("char:3", 6).values, char_preset(6, 3).values)
     with pytest.raises(ValueError):
         preset("wiggle", 8)
+
+
+def test_preset_level_is_bounded_before_allocating(monkeypatch):
+    assert MAX_PRESET_LEVEL == 18
+    at_bound = preset("step:pi/4", MAX_PRESET_LEVEL)
+    assert np.array_equal(at_bound.values, step_preset(MAX_PRESET_LEVEL).values)
+    for name in ("step:pi/4", "bump", "char:1"):
+        with pytest.raises(BudgetExceeded, match="grid level 19 is over the bound of 18"):
+            preset(name, MAX_PRESET_LEVEL + 1)
+
+    def no_grid(*args):
+        raise AssertionError("a level over the bound must not be sampled")
+
+    # level 62 would need 2^62 samples: the bound is checked before any of them
+    monkeypatch.setattr(np, "arange", no_grid)
+    with pytest.raises(BudgetExceeded):
+        preset("step:pi/4", 62)
 
 
 def test_grid_json_round_trip():
