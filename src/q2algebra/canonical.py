@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 
-from .algebra import Element, Monomial
+from .algebra import BudgetExceeded, Element, Monomial
 from .scalars import DyadicCyclotomic, _sum_terms
 
 __all__ = [
@@ -23,6 +23,15 @@ __all__ = [
     "conjugate_by_V",
     "displacement_bound",
 ]
+
+
+MAX_WINDOW = 1 << 20
+
+
+def _check_window(lo: int, hi: int, what: str = "window") -> None:
+    """Refuse a window of more than MAX_WINDOW indices before it is built."""
+    if hi - lo + 1 > MAX_WINDOW:
+        raise BudgetExceeded(f"{what} of {hi - lo + 1} indices is over the bound of {MAX_WINDOW}")
 
 
 def _image(m: Monomial, i: int) -> int | None:
@@ -191,7 +200,11 @@ def window_matrix(op, lo: int, hi: int, phi: float | None = None) -> WindowMatri
     P and V are the reflections e_k -> e_-k and e_k -> e_-k-1; "Uz" is the
     diagonal unitary e_k -> e^(i phi k) e_k for an arbitrary float phase phi.
     They exist only at window level: none of them belongs to the exact span.
+
+    The window holds at most MAX_WINDOW = 2^20 indices, checked before any
+    array is filled (BudgetExceeded).
     """
+    _check_window(lo, hi)
     if isinstance(op, Element):
         return _element_window(op, lo, hi)
     import numpy as np
@@ -217,6 +230,8 @@ def conjugate_by_V(x: Element, lo: int, hi: int) -> WindowMatrix:
 
     V e_k = e_-k-1 is a self-adjoint unitary, so (V x V*)[p, q] = x[-p-1, -q-1];
     the reflected block of x is filled exactly, no truncation artifacts enter.
+    At most MAX_WINDOW indices, as for window_matrix.
     """
+    _check_window(lo, hi)
     inner = _element_window(x, -hi - 1, -lo - 1)
     return WindowMatrix(lo, hi, -inner.rows - 1, -inner.cols - 1, inner.vals)

@@ -120,6 +120,7 @@ class Obstructed:
 
 
 _CONTINUITY_TOL = 1e-6
+_CONTINUITY_ROWS = 256  # rows of the gap matrix per block
 
 
 def two_adic_continuity(sampler, depth: int) -> Continuous | Obstructed:
@@ -129,6 +130,12 @@ def two_adic_continuity(sampler, depth: int) -> Continuous | Obstructed:
     with j = k (mod 2^m) and |j|, |k| <= 2^(depth+2).  Continuity at this depth
     means osc_depth < 1e-6 with a non-increasing profile; this is a finite-depth
     witness, not a proof, and the classification carries the depth used.
+
+    The witness of each level is the first row-major maximum of a class's
+    symmetric gap matrix, which lies in its upper triangle, so only that
+    triangle is scanned, in blocks of _CONTINUITY_ROWS rows: at depth 9 a
+    call peaks at 21 MB of traced numpy memory, where the full matrices took
+    134 MB.
     """
     if depth < 2:
         raise ValueError("depth must be at least 2")
@@ -151,11 +158,12 @@ def two_adic_continuity(sampler, depth: int) -> Continuous | Obstructed:
             # (mod 2^m), in ascending order and with at least 8 points
             vals = values[r::mod]
             idxs = indices[r::mod]
-            gaps = np.abs(vals[None, :] - vals[:, None])
-            pos = np.unravel_index(np.argmax(gaps), gaps.shape)
-            if gaps[pos] > worst:
-                worst = float(gaps[pos])
-                worst_pair = (int(idxs[pos[0]]), int(idxs[pos[1]]))
+            for lo in range(0, vals.size, _CONTINUITY_ROWS):
+                gaps = np.abs(vals[None, lo:] - vals[lo:lo + _CONTINUITY_ROWS, None])
+                i, k = np.unravel_index(np.argmax(gaps), gaps.shape)
+                if gaps[i, k] > worst:
+                    worst = float(gaps[i, k])
+                    worst_pair = (int(idxs[lo + i]), int(idxs[lo + k]))
         oscs.append(worst)
         witnesses.append(worst_pair)
     rises = [i for i in range(1, depth) if oscs[i] > oscs[i - 1] + 1e-12]

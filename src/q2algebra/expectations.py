@@ -7,9 +7,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import (BudgetExceeded, Element, GEN_S1, GEN_S1_STAR, Monomial, _MEMBER_TESTS,
+from .algebra import (Element, GEN_S1, GEN_S1_STAR, Monomial, _MEMBER_TESTS,
                       _element, equals, gauge_component)
-from .canonical import fixed_points
+from .canonical import _check_window, fixed_points
 from .scalars import ZERO, DyadicCyclotomic, _sum_terms
 
 __all__ = [
@@ -21,9 +21,6 @@ __all__ = [
     "s1_limit",
     "NotGaugeInvariant",
 ]
-
-
-MAX_DIAG_WINDOW = 1 << 20
 
 
 class NotGaugeInvariant(ValueError):
@@ -62,7 +59,7 @@ def E_diag_window(x: Element, lo: int, hi: int) -> dict[int, DyadicCyclotomic]:
     residue class when a = b and c = -l, at most one isolated index otherwise
     (the rank-one contributions that fall outside the exact algebra).
 
-    The window holds at most MAX_DIAG_WINDOW = 2^20 indices, checked before
+    The window holds at most MAX_WINDOW = 2^20 indices, checked before
     anything is built (BudgetExceeded): a full residue class gives one entry
     per index.  At the bound, x = 1 takes 0.4 s and 100 MB, and
     `q2 expect diag 1` prints 12 MB in 1.9 s with a 180 MB peak (2-core
@@ -70,10 +67,7 @@ def E_diag_window(x: Element, lo: int, hi: int) -> dict[int, DyadicCyclotomic]:
     """
     if lo > hi:
         raise ValueError("window requires lo <= hi")
-    if hi - lo + 1 > MAX_DIAG_WINDOW:
-        raise BudgetExceeded(
-            f"diagonal window of {hi - lo + 1} indices is over the bound of {MAX_DIAG_WINDOW}"
-        )
+    _check_window(lo, hi, "diagonal window")
     return _sum_terms(
         (i, coef) for mono, coef in x.terms.items() for i in fixed_points(mono, lo, hi)
     )

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 import q2algebra
+from q2algebra import canonical
 from q2algebra.algebra import (
+    BudgetExceeded,
     Element,
     GEN_S1,
     GEN_S2,
@@ -18,12 +20,14 @@ from q2algebra.algebra import (
     equals,
 )
 from q2algebra.canonical import (
+    MAX_WINDOW,
     _image,
     apply_basis,
     conjugate_by_V,
     displacement_bound,
     window_matrix,
 )
+from q2algebra.dyadic import build_Uz
 from q2algebra.scalars import rational
 
 from conftest import rand_element, rand_monomial, window_verdict
@@ -105,6 +109,32 @@ def test_window_products_agree_on_interior(rng):
         direct = window_matrix(x * y, lo, hi)
         prod = window_matrix(x, lo, hi).matmul(window_matrix(y, lo, hi))
         assert prod.max_abs_diff(direct, margin=margin) < 1e-9
+
+
+def test_window_width_is_bounded_before_anything_is_built(monkeypatch):
+    assert MAX_WINDOW == 1 << 20
+    lo = -(MAX_WINDOW // 2)
+    hi = lo + MAX_WINDOW - 1
+    for op in (build_Uz(3), "P", "V", "Uz"):
+        assert window_matrix(op, lo, hi, phi=0.5).size == MAX_WINDOW
+    assert conjugate_by_V(S2, lo, hi).size == MAX_WINDOW
+    over = "window of 1048577 indices is over the bound of 1048576"
+    for op in (build_Uz(3), "P", "V", "Uz"):
+        with pytest.raises(BudgetExceeded, match=over):
+            window_matrix(op, lo, hi + 1, phi=0.5)
+    with pytest.raises(BudgetExceeded, match=over):
+        conjugate_by_V(S2, lo - 1, hi)
+
+    def no_fill(*args):
+        raise AssertionError("a window over the bound must not be filled")
+
+    monkeypatch.setattr(canonical, "_element_window", no_fill)
+    # 2 * 10^12 + 1 indices could not even be allocated: the bound comes first
+    for op in (S2, "P", "V", "Uz"):
+        with pytest.raises(BudgetExceeded, match="2000000000001 indices"):
+            window_matrix(op, -10**12, 10**12, phi=0.5)
+    with pytest.raises(BudgetExceeded, match="2000000000001 indices"):
+        conjugate_by_V(S2, -10**12, 10**12)
 
 
 def test_power_iteration_finds_e0_for_S2():

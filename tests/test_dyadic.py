@@ -1,5 +1,7 @@
 import cmath
+import random
 
+import numpy as np
 import pytest
 
 from q2algebra import dyadic
@@ -149,6 +151,47 @@ def test_two_adic_continuity_edges():
     assert res.oscillations[-1] == pytest.approx(abs(1 - cmath.exp(2j * cmath.pi / 3)))
     with pytest.raises(ValueError):
         two_adic_continuity(lambda k: 1.0, 1)
+
+
+def _full_matrix_continuity(sampler, depth):
+    """Reference: the whole gap matrix of each residue class and its first
+    row-major maximum, as (oscillations, witness pairs)."""
+    radius = 1 << (depth + 2)
+    indices = np.arange(-radius, radius + 1)
+    values = np.array([complex(sampler(int(k))) for k in indices])
+    oscs, pairs = [], []
+    for m in range(1, depth + 1):
+        worst, pair = 0.0, (0, 0)
+        for r in range(1 << m):
+            vals, idxs = values[r::1 << m], indices[r::1 << m]
+            gaps = np.abs(vals[None, :] - vals[:, None])
+            i, k = np.unravel_index(np.argmax(gaps), gaps.shape)
+            if gaps[i, k] > worst:
+                worst, pair = float(gaps[i, k]), (int(idxs[i]), int(idxs[k]))
+        oscs.append(worst)
+        pairs.append(pair)
+    return tuple(oscs), pairs
+
+
+def test_two_adic_continuity_matches_full_gap_matrices():
+    rnd = random.Random(7)
+    table = [complex(rnd.choice((0, 1, 2)), rnd.choice((0, 1))) for _ in range(48)]
+    samplers = [
+        lambda k: 1.0,
+        lambda k: (0.0, 1.0, 2.0)[k % 3],  # every class repeats its maximum
+        lambda k: float(k % 5 == 0),
+        lambda k: 1.0 if k >= 0 else -1.0,
+        lambda k: cmath.exp(2j * cmath.pi * (k % 16) / 16),
+        lambda k: table[k % 48],
+    ]
+    for depth in range(2, 8):  # from depth 6 on a class has more than one block of rows
+        for sampler in samplers:
+            oscs, pairs = _full_matrix_continuity(sampler, depth)
+            res = two_adic_continuity(sampler, depth)
+            assert res.oscillations == oscs
+            if isinstance(res, Obstructed):
+                j, k, m, gap = res.witness
+                assert (j, k) == pairs[m - 1] and gap == oscs[m - 1]
 
 
 def test_two_adic_continuity_rejects_non_finite_samples():

@@ -19,14 +19,13 @@ from q2algebra.algebra import (
     s_mu,
     scalar,
 )
-from q2algebra.canonical import window_matrix
+from q2algebra.canonical import MAX_WINDOW, window_matrix
 from q2algebra.expectations import (
     E_CU,
     E_D2,
     E_diag_window,
     E_gauge,
     F_map,
-    MAX_DIAG_WINDOW,
     NotGaugeInvariant,
     s1_limit,
 )
@@ -85,10 +84,10 @@ def test_E_diag_window_examples():
 
 
 def test_diag_window_is_bounded_before_anything_is_built(monkeypatch):
-    assert MAX_DIAG_WINDOW == 1 << 20
+    assert MAX_WINDOW == 1 << 20
     assert not issubclass(BudgetExceeded, ValueError)  # the CLI keeps it at exit 3
-    lo = -(MAX_DIAG_WINDOW // 2)
-    hi = lo + MAX_DIAG_WINDOW - 1
+    lo = -(MAX_WINDOW // 2)
+    hi = lo + MAX_WINDOW - 1
     x = S2**12 * S2s**12  # fixes the class 0 mod 2^12, so 256 entries at the bound
     assert E_diag_window(x, lo, hi) == {i: rational(1) for i in range(lo, hi + 1, 1 << 12)}
     with pytest.raises(BudgetExceeded, match="1048577 indices is over the bound of 1048576"):

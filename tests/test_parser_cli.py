@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import q2algebra
+from q2algebra import cli
 
 from q2algebra.algebra import GEN_S2, GEN_U, ONE, equals
 from q2algebra.cli import _parse_morphism, main
@@ -309,6 +310,12 @@ def test_cli_engine_errors_on_labels_keep_exit_3(capsys):
      "grid level 19 is over the bound of 18"),
     (["expect", "diag", "1", "--window=-524288:524288"],
      "diagonal window of 1048577 indices is over the bound of 1048576"),
+    (["window", "P", "--window=-524288:524288"],
+     "window of 1048577 indices is over the bound of 1048576"),
+    (["window", "S2", "--window=-1000000000:1000000000"],
+     "window of 2000000001 indices is over the bound of 1048576"),
+    (["uz", "3", "--window=-524288:524288"],
+     "window of 1048577 indices is over the bound of 1048576"),
 ])
 def test_cli_over_a_size_bound_exits_3(capsys, argv, message):
     assert main(argv) == 3
@@ -317,12 +324,20 @@ def test_cli_over_a_size_bound_exits_3(capsys, argv, message):
     assert captured.err == f"error: BudgetExceeded: {message}\n"  # one line, no traceback
 
 
-def test_cli_at_a_size_bound_keeps_its_output(capsys):
+def test_cli_at_a_size_bound_keeps_its_output(capsys, monkeypatch):
     assert main(["cascade", "char:1", "--level", "18"]) == 0
     assert capsys.readouterr().out == "solved cascade at level 18; h(1) = 1+0j\n"
     assert main(["expect", "diag", "S2^12 S2*^12", "--window=-524288:524287"]) == 0
     expected = ", ".join(f"{i}: 1" for i in range(-524288, 524288, 1 << 12))
     assert capsys.readouterr().out == expected + "\n"
+    assert main(["window", "S2^12 S2*^12", "--window=-524288:524287"]) == 0
+    rows = ["row,col,re,im"] + [f"{i},{i},1.0,0.0" for i in range(-524288, 524288, 1 << 12)]
+    assert capsys.readouterr().out == "\n".join(rows) + "\n"
+    # U_z at zeta_8 fills all 2^20 diagonal entries; the dump itself is not needed
+    printed = []
+    monkeypatch.setattr(cli, "_print_window", lambda win, fmt: printed.append(win))
+    assert main(["uz", "3", "--window=-524288:524287"]) == 0
+    assert [(w.lo, w.hi, w.vals.size) for w in printed] == [(-524288, 524287, 1 << 20)]
 
 
 _IN_FRESH_INTERPRETER = """

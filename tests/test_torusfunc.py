@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import q2algebra
 from q2algebra.algebra import (GEN_S2, GEN_S2_STAR, GEN_U, GEN_U_STAR, ZERO, BudgetExceeded, Element,
                                Monomial, _is_unitary, equals, monomial, normalize_depth)
 from q2algebra.expectations import E_CU
@@ -20,6 +25,7 @@ from q2algebra.torusfunc import (
     char_preset,
     flipflop_commute_obstruction,
     gauge_equiv_obstruction,
+    oscillation_report,
     preset,
     solve_square_equation,
     step_preset,
@@ -242,6 +248,73 @@ def test_constant_function_oscillation_zero():
     rep = flipflop_commute_obstruction(char_preset(8, 0))
     assert rep.max_oscillation == 0.0
     assert not rep.obstructed
+
+
+def _dense_osc(h):
+    """Reference oscillation: every row pair over the whole grid, masked by
+    stability (the all-pairs form oscillation_report must equal bit for bit)."""
+    max_odd = min(63, (1 << (h.level - 3)) - 1)
+    seqs = [j * sign for j in range(1, max_odd + 1, 2) for sign in (1, -1)]
+    vals = np.empty((len(seqs), h.size), dtype=complex)
+    stable = np.empty((len(seqs), h.size), dtype=bool)
+    for row, j in enumerate(seqs):
+        v0, v1, v2 = (np.roll(h.values, -j * s) for s in (1, 2, 4))
+        stable[row] = (np.abs(v0 - v1) <= 1e-7) & (np.abs(v1 - v2) <= 1e-7)
+        vals[row] = v0
+    osc = np.zeros(h.size)
+    for row in range(len(seqs) - 1):
+        diff = np.abs(vals[row + 1:] - vals[row][None, :])
+        diff *= stable[row + 1:] & stable[row][None, :]
+        np.maximum(osc, diff.max(axis=0), out=osc)
+    return osc
+
+
+def _report_grids(level, rng):
+    size = 1 << level
+    theta = 2 * math.pi * np.arange(size) / size
+    yield step_preset(level)
+    yield bump_preset(level)
+    yield char_preset(level, 3)
+    yield char_preset(level, 0)  # constant: every sample stable and equal
+    # piecewise constant on seeded arcs: many ties between stable values
+    cuts = np.sort(rng.integers(0, size, 6))
+    yield DyadicGridFunction(level, 1j ** np.searchsorted(cuts, np.arange(size)))
+    # random phases: no approach sequence is stable
+    yield DyadicGridFunction(level, np.exp(2j * math.pi * rng.random(size)))
+    # f(conj z) = f(z): the flip-flop Psi is 1 up to rounding, so every
+    # sample is stable and the stable values differ in the last bits
+    phase = sum(a * np.cos((k + 1) * theta) for k, a in enumerate(rng.uniform(-0.5, 0.5, 3)))
+    yield DyadicGridFunction(level, np.exp(1j * phase))
+
+
+def test_oscillation_report_is_bit_identical_to_all_pairs():
+    rng = np.random.default_rng(23)
+    for level in range(5, 14):  # max_odd < 63 below level 9; several blocks from level 12
+        for f in _report_grids(level, rng):
+            for check, factor in ((gauge_equiv_obstruction, f.values[0].conjugate()),
+                                  (flipflop_commute_obstruction, f.conj_reflected().values)):
+                h = cascade_solve(DyadicGridFunction(level, f.values * factor))
+                osc = check(f).osc
+                assert np.array_equal(osc, _dense_osc(h)), (level, check.__name__)
+                assert np.array_equal(osc, oscillation_report(h).osc)
+
+
+def test_reports_stay_small_in_memory():
+    # a level-16 report and a depth-9 continuity probe in a fresh process;
+    # the all-pairs forms grew its peak to about 229 MB.  The child reads its
+    # own VmHWM: Linux carries the spawning process's peak into a child's
+    # ru_maxrss, and this test process may be large
+    code = (
+        "from q2algebra.dyadic import two_adic_continuity\n"
+        "from q2algebra.torusfunc import gauge_equiv_obstruction, step_preset\n"
+        "assert gauge_equiv_obstruction(step_preset(16)).obstructed\n"
+        "two_adic_continuity(lambda k: [0.0, 1.0, 2.0][k % 3], 9)\n"
+        "print(next(l.split()[1] for l in open('/proc/self/status') if l.startswith('VmHWM:')))\n"
+    )
+    src = str(Path(q2algebra.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert int(out) < 120 * 1024  # KB
 
 
 def test_presets_by_name():
